@@ -1,31 +1,30 @@
 //! Static resource estimation: bounds on qubit count, gate count, circuit
 //! depth, and measurement count — computed **without simulating**.
 //!
-//! The estimator is an abstract interpreter that mirrors the runtime's
-//! circuit lowering (`qutes-core::runtime`) onto a *shadow circuit*: it
-//! tracks classical values symbolically (known constant or unknown) and
-//! replays the exact gate sequences the interpreter would emit — calling
-//! the same `qutes-algos` builders for arithmetic, rotations, and state
-//! preparation — but never allocates a statevector and never samples.
+//! The estimator runs the runtime's own interpreter
+//! ([`qutes_core::interpret`]) over an abstract effect domain, the
+//! [`Shadow`] circuit. The interpreter lowers every quantum operation
+//! exactly as in a real run — the same casts, arithmetic, rotations and
+//! Grover oracles — but the shadow only records the gates: it never
+//! allocates a statevector and never samples, so every measurement
+//! outcome is an unknown value.
 //!
 //! On programs whose control flow does not depend on measurement outcomes
 //! the resulting counts are **exact** (they match `qcirc`'s
 //! [`CircuitStats`](qutes_qcirc::CircuitStats) for the circuit a real run
-//! accumulates). Measurement-dependent branches are explored on both
-//! sides: when the two worlds build identical circuits the estimate stays
-//! exact, otherwise the larger world is kept and the difference becomes
-//! additive slack, making every figure an upper bound. Constructs whose
-//! circuit size is inherently run-dependent (the Grover-based `in`
-//! operator's BBHT schedule, unbounded `while` loops) mark the estimate
-//! inexact and leave a note.
+//! accumulates). On an undecided condition the interpreter runs both
+//! branches on copies of the shadow: when the two worlds build identical
+//! circuits the estimate stays exact, otherwise the shadow keeps the
+//! larger world and the difference becomes additive slack, making every
+//! figure an upper bound. Constructs whose circuit size is inherently
+//! run-dependent (the Grover-based `in` operator's BBHT schedule, whose
+//! worst case the shadow draws, and unbounded `while` loops) mark the
+//! estimate inexact and leave a note.
 
-use qutes_algos::{arithmetic, rotation, state_prep};
-use qutes_core::casting::bits_for;
-use qutes_core::value::QKind;
-use qutes_frontend::ast::*;
-use qutes_frontend::KetState;
+use qutes_core::{interpret, Domain, FunctionTable, Merge, QutesError, QutesResult, RunConfig};
+use qutes_core::{Interrupt, Slack, Unknown, Value};
+use qutes_frontend::ast::Program;
 use qutes_qcirc::{Gate, QuantumCircuit};
-use std::collections::HashMap;
 
 /// Static bounds on the circuit a program would build.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,22 +105,22 @@ fn plural(n: usize) -> &'static str {
 
 /// Estimates the resources `program` would consume when run.
 pub fn estimate(program: &Program) -> ResourceEstimate {
-    let mut est = Est::new(program);
-    let mut gave_up = false;
-    for item in &program.items {
-        if let Item::Statement(s) = item {
-            match est.exec_stmt(s) {
-                Ok(Flow::Normal) => {}
-                Ok(Flow::Return(_)) => break,
-                Err(Stop) => {
-                    gave_up = true;
-                    break;
-                }
-            }
-        }
-    }
+    let _span = qutes_obs::span("stage.estimate");
+    let mut shadow = Shadow::default();
+    // The run's own call-depth budget; a step budget far below the
+    // run's, so that dispatch stays cheap on long classical loops.
+    let limits = RunConfig {
+        max_steps: MAX_STEPS,
+        ..RunConfig::default()
+    };
+    let gave_up = FunctionTable::of_program(program)
+        .map_err(QutesError::Compile)
+        .and_then(|functions| {
+            interpret(program, functions, &mut shadow, &limits, &Interrupt::new())
+        })
+        .is_err();
     if gave_up {
-        est.inexact("estimation stopped early (budget exhausted or un-analyzable construct)");
+        shadow.note("estimation stopped early (budget exhausted or un-analyzable construct)");
         // Unknown gates may follow the stop point, so the trace-based
         // Clifford bit alone would be unsound. The syntactic classifier
         // rescues the common case: if *no construct in the whole
@@ -129,218 +128,121 @@ pub fn estimate(program: &Program) -> ResourceEstimate {
         // regardless of where estimation stopped (e.g. measurement-
         // terminated branches or unbounded while loops in an otherwise
         // Clifford program).
-        est.clifford_only =
-            est.clifford_only && crate::domains::syntactic::program_is_clifford(program);
+        shadow.clifford_only =
+            shadow.clifford_only && crate::domains::syntactic::program_is_clifford(program);
     }
-    est.finish()
-}
-
-/// Abstract value: a classical constant, an unknown of known type, or a
-/// quantum register (identified by its shadow-circuit qubit indices).
-#[derive(Clone, Debug, PartialEq)]
-enum AVal {
-    Bool(Option<bool>),
-    Int(Option<i64>),
-    Float(Option<f64>),
-    Str(Option<String>),
-    Array(Vec<AVal>),
-    Quantum(Vec<usize>, QKind),
-    Void,
-    Unknown,
-}
-
-impl AVal {
-    /// Mirrors `Value::as_bool` (unknown payload → unknown truth).
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            AVal::Bool(b) => *b,
-            AVal::Int(i) => i.map(|i| i != 0),
-            AVal::Float(f) => f.map(|f| f != 0.0),
-            AVal::Str(s) => s.as_ref().map(|s| !s.is_empty()),
-            _ => None,
-        }
-    }
-
-    /// Mirrors `Value::as_i64`.
-    fn as_i64(&self) -> Option<i64> {
-        match self {
-            AVal::Int(i) => *i,
-            AVal::Bool(b) => b.map(|b| b as i64),
-            AVal::Float(f) => f.filter(|f| f.fract() == 0.0).map(|f| f as i64),
-            _ => None,
-        }
-    }
-
-    /// Mirrors `Value::as_f64`.
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            AVal::Int(i) => i.map(|i| i as f64),
-            AVal::Float(f) => *f,
-            AVal::Bool(b) => b.map(|b| b as i64 as f64),
-            _ => None,
-        }
-    }
-
-    /// True when this is a quantum register (of any kind).
-    fn is_quantum(&self) -> bool {
-        matches!(self, AVal::Quantum(_, _))
+    ResourceEstimate {
+        qubits: shadow.circ.num_qubits() + shadow.slack.qubits,
+        gates: shadow.circ.size() + shadow.slack.gates,
+        depth: shadow.circ.depth() + shadow.slack.depth,
+        measurements: shadow.measurements + shadow.slack.measurements,
+        exact: shadow.notes.is_empty(),
+        clifford_only: shadow.clifford_only,
+        notes: shadow.notes,
     }
 }
-
-/// One environment slot: declared type plus abstract value.
-#[derive(Clone, Debug, PartialEq)]
-struct Slot {
-    ty: Type,
-    val: AVal,
-}
-
-enum Flow {
-    Normal,
-    Return(AVal),
-}
-
-/// Estimation cannot continue (budget exhausted, or the program would
-/// error at runtime anyway). The caller marks the estimate inexact.
-struct Stop;
-
-type R<T> = Result<T, Stop>;
 
 const MAX_SHADOW_QUBITS: usize = 1024;
+const MAX_SHADOW_GATES: usize = 1 << 18;
 const MAX_STEPS: u64 = 200_000;
-const MAX_CALL_DEPTH: usize = 64;
 
+/// The estimator's effect domain: a circuit that records gates without
+/// simulating them, plus the slack and notes of every imprecise step.
 #[derive(Clone)]
-struct Est<'p> {
-    scopes: Vec<HashMap<String, Slot>>,
-    functions: HashMap<String, &'p FunctionDecl>,
+struct Shadow {
     circ: QuantumCircuit,
     free: Vec<usize>,
     measurements: usize,
-    exact: bool,
     clifford_only: bool,
+    /// Why the estimate is inexact (empty while it is exact).
     notes: Vec<String>,
-    slack_gates: usize,
-    slack_depth: usize,
-    slack_qubits: usize,
-    slack_meas: usize,
-    steps: u64,
-    call_depth: usize,
+    slack: Slack,
 }
 
-impl<'p> Est<'p> {
-    fn new(program: &'p Program) -> Self {
-        let functions = program
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Function(f) => Some((f.name.clone(), f)),
-                _ => None,
-            })
-            .collect();
-        Est {
-            scopes: vec![HashMap::new()],
-            functions,
+impl Default for Shadow {
+    fn default() -> Self {
+        Shadow {
             circ: QuantumCircuit::new(),
             free: Vec::new(),
             measurements: 0,
-            exact: true,
             clifford_only: true,
             notes: Vec::new(),
-            slack_gates: 0,
-            slack_depth: 0,
-            slack_qubits: 0,
-            slack_meas: 0,
-            steps: 0,
-            call_depth: 0,
+            slack: Slack::default(),
+        }
+    }
+}
+
+impl Shadow {
+    fn note(&mut self, note: &str) {
+        if !self.notes.iter().any(|n| n == note) {
+            self.notes.push(note.to_string());
         }
     }
 
-    fn finish(mut self) -> ResourceEstimate {
-        self.notes.dedup();
-        let mut seen = Vec::new();
-        for n in self.notes {
-            if !seen.contains(&n) {
-                seen.push(n);
-            }
-        }
-        ResourceEstimate {
-            qubits: self.circ.num_qubits() + self.slack_qubits,
-            gates: self.circ.size() + self.slack_gates,
-            depth: self.circ.depth() + self.slack_depth,
-            measurements: self.measurements + self.slack_meas,
-            exact: self.exact,
-            clifford_only: self.clifford_only,
-            notes: seen,
-        }
+    /// Totals with slack: gates, depth, qubits, measurements.
+    fn totals(&self) -> [usize; 4] {
+        [
+            self.circ.size() + self.slack.gates,
+            self.circ.depth() + self.slack.depth,
+            self.circ.num_qubits() + self.slack.qubits,
+            self.measurements + self.slack.measurements,
+        ]
     }
+}
 
-    fn inexact(&mut self, note: &str) {
-        self.exact = false;
-        let note = note.to_string();
-        if !self.notes.contains(&note) {
-            self.notes.push(note);
-        }
-    }
+/// Why the shadow stops: the estimate keeps what it recorded so far.
+fn give_up() -> QutesError {
+    QutesError::runtime("resource estimation budget exhausted", Default::default())
+}
 
-    fn step(&mut self) -> R<()> {
-        self.steps += 1;
-        if self.steps > MAX_STEPS {
-            return Err(Stop);
+impl Domain for Shadow {
+    fn check_capacity(&self, extra: usize, _what: &str) -> QutesResult<()> {
+        if self.circ.num_qubits() + extra > MAX_SHADOW_QUBITS {
+            return Err(give_up());
         }
         Ok(())
     }
 
-    // ---- shadow handler (mirrors QuantumCircuitHandler) -----------------
-
-    fn allocate(&mut self, width: usize) -> R<Vec<usize>> {
-        if self.circ.num_qubits() + width > MAX_SHADOW_QUBITS {
-            return Err(Stop);
-        }
+    fn allocate(&mut self, _name: &str, width: usize) -> QutesResult<Vec<usize>> {
+        self.check_capacity(width, "")?;
         Ok(self.circ.add_qreg("r", width).qubits())
     }
 
-    fn acquire(&mut self, n: usize) -> R<Vec<usize>> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match self.free.pop() {
-                Some(q) => out.push(q),
-                None => break,
-            }
-        }
-        let missing = n - out.len();
-        if missing > 0 {
-            let fresh = self.allocate(missing)?;
-            out.extend(fresh);
+    fn acquire_ancillas(&mut self, n: usize, name: &str) -> QutesResult<Vec<usize>> {
+        let keep = self.free.len().saturating_sub(n);
+        let mut out: Vec<usize> = self.free.drain(keep..).rev().collect();
+        if out.len() < n {
+            out.extend(self.allocate(name, n - out.len())?);
         }
         Ok(out)
     }
 
-    /// All mirrored release sites uncompute their ancillas back to `|0>`
+    /// Every release site uncomputes its ancillas back to `|0>`
     /// deterministically, so (unlike the runtime's state-probing pool)
     /// the shadow always re-pools.
-    fn release(&mut self, qubits: &[usize]) {
+    fn release_ancillas(&mut self, qubits: &[usize]) {
         self.free.extend_from_slice(qubits);
     }
 
-    fn apply(&mut self, gate: Gate) -> R<()> {
+    fn apply(&mut self, gate: Gate) -> QutesResult<()> {
+        if self.circ.len() >= MAX_SHADOW_GATES {
+            return Err(give_up());
+        }
         if !gate.is_clifford() {
             self.clifford_only = false;
         }
-        self.circ.append(gate).map_err(|_| Stop)
+        Ok(self.circ.append(gate)?)
     }
 
-    fn apply_fragment(&mut self, frag: &QuantumCircuit) -> R<()> {
-        for g in frag.ops() {
-            self.apply(g.clone())?;
-        }
-        Ok(())
+    fn barrier(&mut self) -> QutesResult<()> {
+        self.apply(Gate::Barrier(vec![]))
     }
 
-    fn fragment(&self) -> QuantumCircuit {
-        QuantumCircuit::with_qubits(self.circ.num_qubits())
+    fn num_qubits(&self) -> usize {
+        self.circ.num_qubits()
     }
 
-    fn shadow_measure(&mut self, qubits: &[usize]) -> R<()> {
+    fn measure_bits(&mut self, qubits: &[usize]) -> QutesResult<Option<Vec<bool>>> {
         let creg = self
             .circ
             .add_creg(format!("m{}", self.measurements), qubits.len());
@@ -351,1634 +253,85 @@ impl<'p> Est<'p> {
                 clbit: creg.bit(k),
             })?;
         }
-        Ok(())
+        Ok(None)
     }
 
-    /// Measures a quantum value into an unknown classical one (the
-    /// collapse is mirrored; the outcome is not predictable).
-    fn measure_if_quantum(&mut self, v: AVal) -> R<AVal> {
-        match v {
-            AVal::Quantum(qubits, kind) => {
-                self.shadow_measure(&qubits)?;
-                Ok(match kind {
-                    QKind::Qubit => AVal::Bool(None),
-                    QKind::Quint => AVal::Int(None),
-                    QKind::Qustring => AVal::Str(None),
-                })
-            }
-            v => Ok(v),
-        }
-    }
-
-    // ---- environment ------------------------------------------------------
-
-    fn declare(&mut self, name: &str, ty: Type, val: AVal) {
-        if let Some(scope) = self.scopes.last_mut() {
-            scope.insert(name.to_string(), Slot { ty, val });
-        }
-    }
-
-    fn lookup(&self, name: &str) -> Option<&Slot> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
-    fn lookup_mut(&mut self, name: &str) -> Option<&mut Slot> {
-        self.scopes.iter_mut().rev().find_map(|s| s.get_mut(name))
-    }
-
-    fn havoc(&mut self, name: &str) {
-        if let Some(slot) = self.lookup_mut(name) {
-            slot.val = AVal::Unknown;
-        }
-    }
-
-    // ---- statements -------------------------------------------------------
-
-    fn exec_block(&mut self, b: &Block) -> R<Flow> {
-        self.scopes.push(HashMap::new());
-        let r = self.exec_stmts(&b.stmts);
-        self.scopes.pop();
-        r
-    }
-
-    fn exec_stmts(&mut self, stmts: &[Stmt]) -> R<Flow> {
-        for s in stmts {
-            if let Flow::Return(v) = self.exec_stmt(s)? {
-                return Ok(Flow::Return(v));
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(&mut self, s: &Stmt) -> R<Flow> {
-        self.step()?;
-        match s {
-            Stmt::VarDecl { ty, name, init, .. } => {
-                let val = match init {
-                    Some(e) => {
-                        let v = self.eval_with_target(e, Some(ty))?;
-                        self.coerce(v, ty)?
-                    }
-                    None => self.default_value(ty)?,
-                };
-                self.declare(name, ty.clone(), val);
-                Ok(Flow::Normal)
-            }
-            Stmt::Assign {
-                target, op, value, ..
-            } => {
-                self.exec_assign(target, *op, value)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::If {
-                cond,
-                then_block,
-                else_block,
-                ..
-            } => match self.eval_condition(cond)? {
-                Some(true) => self.exec_block(then_block),
-                Some(false) => match else_block {
-                    Some(eb) => self.exec_block(eb),
-                    None => Ok(Flow::Normal),
-                },
-                None => {
-                    let then_block = then_block.clone();
-                    let else_block = else_block.clone();
-                    self.explore(
-                        move |e| e.exec_block(&then_block),
-                        move |e| match &else_block {
-                            Some(eb) => e.exec_block(eb),
-                            None => Ok(Flow::Normal),
-                        },
-                    )
-                }
-            },
-            Stmt::While { cond, body, .. } => {
-                loop {
-                    match self.eval_condition(cond)? {
-                        Some(false) => break,
-                        Some(true) => {
-                            self.step()?;
-                            if let Flow::Return(v) = self.exec_block(body)? {
-                                return Ok(Flow::Return(v));
-                            }
-                        }
-                        None => {
-                            // The trip count is not statically known: walk
-                            // the body once (for declarations/uses), then
-                            // forget everything it might have changed.
-                            self.inexact(
-                                "while loop with a run-dependent condition: iteration count \
-                                 (and any gates its body emits) cannot be bounded statically",
-                            );
-                            let flow = self.exec_block(body)?;
-                            for name in assigned_names(&body.stmts) {
-                                self.havoc(&name);
-                            }
-                            if let Flow::Return(v) = flow {
-                                return Ok(Flow::Return(v));
-                            }
-                            break;
-                        }
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Foreach {
-                var,
-                iterable,
-                body,
-                ..
-            } => {
-                let it = self.eval(iterable)?;
-                let items: Vec<(Type, AVal)> = match it {
-                    AVal::Array(items) => {
-                        items.into_iter().map(|v| (abstract_type(&v), v)).collect()
-                    }
-                    AVal::Quantum(qubits, QKind::Qustring) => qubits
-                        .iter()
-                        .map(|&qb| (Type::Qubit, AVal::Quantum(vec![qb], QKind::Qubit)))
-                        .collect(),
-                    AVal::Quantum(_, _) => return Err(Stop),
-                    _ => {
-                        self.inexact(
-                            "foreach over a run-dependent collection: iteration count cannot \
-                             be bounded statically",
-                        );
-                        self.scopes.push(HashMap::new());
-                        self.declare(var, Type::Int, AVal::Unknown);
-                        let flow = self.exec_stmts(&body.stmts);
-                        self.scopes.pop();
-                        for name in assigned_names(&body.stmts) {
-                            self.havoc(&name);
-                        }
-                        if let Flow::Return(v) = flow? {
-                            return Ok(Flow::Return(v));
-                        }
-                        return Ok(Flow::Normal);
-                    }
-                };
-                // The runtime binds the loop variable by reference; the
-                // shadow env is by value, so writes through the loop
-                // variable invalidate the (possibly aliased) iterable.
-                let body_writes_var = assigned_names(&body.stmts).contains(var);
-                for (ty, item) in items {
-                    self.step()?;
-                    self.scopes.push(HashMap::new());
-                    self.declare(var, ty, item);
-                    let flow = self.exec_stmts(&body.stmts);
-                    self.scopes.pop();
-                    if let Flow::Return(v) = flow? {
-                        return Ok(Flow::Return(v));
-                    }
-                }
-                if body_writes_var {
-                    if let ExprKind::Var(n) = &iterable.kind {
-                        let n = n.clone();
-                        self.havoc(&n);
-                    }
-                    self.inexact("foreach body writes its loop variable (bound by reference)");
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Return { value, .. } => {
-                let v = match value {
-                    Some(e) => self.eval(e)?,
-                    None => AVal::Void,
-                };
-                Ok(Flow::Return(v))
-            }
-            Stmt::Print { value, .. } => {
-                let v = self.eval(value)?;
-                self.measure_if_quantum(v)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Expr { expr, .. } => {
-                self.eval(expr)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Gate { gate, args, .. } => {
-                self.exec_gate(*gate, args)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Measure { target, .. } => {
-                let v = self.eval(target)?;
-                match v {
-                    AVal::Quantum(qubits, _) => self.shadow_measure(&qubits)?,
-                    AVal::Unknown => {
-                        self.inexact("measure of a value the estimator lost track of");
-                        self.slack_meas += 1;
-                    }
-                    _ => return Err(Stop),
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Barrier { .. } => {
-                self.apply(Gate::Barrier(vec![]))?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Block(b) => self.exec_block(b),
-        }
-    }
-
-    fn default_value(&mut self, ty: &Type) -> R<AVal> {
-        Ok(match ty {
-            Type::Bool => AVal::Bool(Some(false)),
-            Type::Int => AVal::Int(Some(0)),
-            Type::Float => AVal::Float(Some(0.0)),
-            Type::String => AVal::Str(Some(String::new())),
-            Type::Qubit => AVal::Quantum(self.allocate(1)?, QKind::Qubit),
-            Type::Quint => AVal::Quantum(self.allocate(1)?, QKind::Quint),
-            Type::Qustring => return Err(Stop),
-            Type::Array(_) => AVal::Array(Vec::new()),
-            Type::Void => AVal::Void,
-        })
-    }
-
-    /// Mirrors `Interp::coerce`: identity, widening, promotion (which
-    /// allocates and encodes), width-1 reinterpretation, auto-measure.
-    fn coerce(&mut self, v: AVal, ty: &Type) -> R<AVal> {
-        let ok = match (ty, &v) {
-            (Type::Bool, AVal::Bool(_))
-            | (Type::Int, AVal::Int(_))
-            | (Type::Float, AVal::Float(_))
-            | (Type::String, AVal::Str(_))
-            | (Type::Array(_), AVal::Array(_)) => true,
-            (Type::Qubit, AVal::Quantum(_, k)) => *k == QKind::Qubit,
-            (Type::Quint, AVal::Quantum(_, k)) => *k == QKind::Quint,
-            (Type::Qustring, AVal::Quantum(_, k)) => *k == QKind::Qustring,
-            _ => false,
-        };
-        if ok {
-            return Ok(v);
-        }
-        match (ty, v) {
-            (_, AVal::Unknown) => {
-                if ty.is_quantum() {
-                    self.inexact("value promoted to a quantum register of run-dependent width");
-                    self.slack_qubits += 1;
-                }
-                Ok(AVal::Unknown)
-            }
-            (Type::Float, AVal::Int(i)) => Ok(AVal::Float(i.map(|i| i as f64))),
-            (Type::Qubit, AVal::Bool(b)) => {
-                let qubits = self.allocate(1)?;
-                match b {
-                    Some(true) => self.apply(Gate::X(qubits[0]))?,
-                    Some(false) => {}
-                    None => {
-                        // The X gate is present only when the value is 1.
-                        self.inexact("qubit prepared from a run-dependent classical bit");
-                        self.slack_gates += 1;
-                        self.slack_depth += 1;
-                    }
-                }
-                Ok(AVal::Quantum(qubits, QKind::Qubit))
-            }
-            (Type::Qubit, AVal::Int(None)) => {
-                let qubits = self.allocate(1)?;
-                self.inexact("qubit prepared from a run-dependent classical bit");
-                self.slack_gates += 1;
-                self.slack_depth += 1;
-                Ok(AVal::Quantum(qubits, QKind::Qubit))
-            }
-            (Type::Qubit, AVal::Int(Some(i))) if i == 0 || i == 1 => {
-                let qubits = self.allocate(1)?;
-                if i == 1 {
-                    self.apply(Gate::X(qubits[0]))?;
-                }
-                Ok(AVal::Quantum(qubits, QKind::Qubit))
-            }
-            (Type::Quint, AVal::Int(Some(i))) if i >= 0 => {
-                Ok(AVal::Quantum(self.new_quint(i as u64, None)?, QKind::Quint))
-            }
-            (Type::Quint, AVal::Bool(Some(b))) => {
-                Ok(AVal::Quantum(self.new_quint(b as u64, None)?, QKind::Quint))
-            }
-            (Type::Quint, AVal::Int(None) | AVal::Bool(None)) => {
-                // Width depends on the value: assume the 1-qubit minimum
-                // and flag the loss of exactness.
-                self.inexact("quint promoted from a run-dependent integer: width unknown");
-                Ok(AVal::Quantum(self.allocate(1)?, QKind::Quint))
-            }
-            (Type::Qubit, AVal::Quantum(qubits, _)) if qubits.len() == 1 => {
-                Ok(AVal::Quantum(qubits, QKind::Qubit))
-            }
-            (Type::Quint, AVal::Quantum(qubits, _)) => Ok(AVal::Quantum(qubits, QKind::Quint)),
-            (Type::Qustring, AVal::Str(Some(s))) => {
-                Ok(AVal::Quantum(self.new_qustring(&s)?, QKind::Qustring))
-            }
-            (Type::Qustring, AVal::Str(None)) => {
-                self.inexact("qustring promoted from a run-dependent string: width unknown");
-                Ok(AVal::Quantum(self.allocate(1)?, QKind::Qustring))
-            }
-            (Type::Qustring, AVal::Quantum(qubits, _)) => {
-                Ok(AVal::Quantum(qubits, QKind::Qustring))
-            }
-            (classical, q @ AVal::Quantum(_, _)) if classical.is_classical() => {
-                let m = self.measure_if_quantum(q)?;
-                match (classical, m) {
-                    (Type::Bool, m @ AVal::Bool(_))
-                    | (Type::Int, m @ AVal::Int(_))
-                    | (Type::String, m @ AVal::Str(_)) => Ok(m),
-                    (Type::Float, AVal::Int(i)) => Ok(AVal::Float(i.map(|i| i as f64))),
-                    _ => Err(Stop),
-                }
-            }
-            _ => Err(Stop),
-        }
-    }
-
-    fn exec_assign(&mut self, target: &LValue, op: AssignOp, value_expr: &Expr) -> R<()> {
-        // Resolve the target slot's type; element targets with unknown
-        // indices can only be havocked.
-        enum Tgt {
-            Var(String),
-            Elem(String, usize),
-            Lost(String),
-        }
-        let (tgt, target_ty, current) = match target {
-            LValue::Name(name) => {
-                let Some(slot) = self.lookup(name) else {
-                    return Err(Stop);
-                };
-                (Tgt::Var(name.clone()), slot.ty.clone(), slot.val.clone())
-            }
-            LValue::Index(name, idx_expr) => {
-                let idx = self.eval_index(idx_expr)?;
-                let Some(slot) = self.lookup(name) else {
-                    return Err(Stop);
-                };
-                let elem_ty = match &slot.ty {
-                    Type::Array(t) => (**t).clone(),
-                    _ => return Err(Stop),
-                };
-                match (idx, &slot.val) {
-                    (Some(i), AVal::Array(items)) => match items.get(i) {
-                        Some(v) => (Tgt::Elem(name.clone(), i), elem_ty, v.clone()),
-                        None => return Err(Stop),
-                    },
-                    _ => {
-                        self.inexact("assignment through a run-dependent array index");
-                        (Tgt::Lost(name.clone()), elem_ty, AVal::Unknown)
-                    }
-                }
-            }
-        };
-
-        let result: Option<AVal> = match op {
-            AssignOp::Set => {
-                let v = self.eval_with_target(value_expr, Some(&target_ty))?;
-                Some(self.coerce(v, &target_ty)?)
-            }
-            AssignOp::Add | AssignOp::Sub => match current {
-                AVal::Quantum(qubits, QKind::Quint) => {
-                    let rhs = self.eval(value_expr)?;
-                    self.quint_add_sub_in_place(&qubits, rhs, op == AssignOp::Sub)?;
-                    None
-                }
-                classical => {
-                    let rhs = self.eval(value_expr)?;
-                    let bin = if op == AssignOp::Add {
-                        BinOp::Add
-                    } else {
-                        BinOp::Sub
-                    };
-                    Some(self.classical_binary(bin, classical, rhs)?)
-                }
-            },
-            AssignOp::Shl | AssignOp::Shr => {
-                let rhs = self.eval(value_expr)?;
-                let k = rhs.as_i64();
-                match (current, k) {
-                    (AVal::Quantum(qubits, _), Some(k)) if k >= 0 => {
-                        self.rotate_in_place(&qubits, k as usize, op == AssignOp::Shl)?;
-                        None
-                    }
-                    (AVal::Quantum(_, _), _) => {
-                        self.inexact(
-                            "cyclic shift by a run-dependent amount: rotation network unknown",
-                        );
-                        None
-                    }
-                    (AVal::Int(i), Some(k)) if k >= 0 => Some(AVal::Int(i.map(|i| {
-                        if op == AssignOp::Shl {
-                            i.wrapping_shl(k as u32)
-                        } else {
-                            i.wrapping_shr(k as u32)
-                        }
-                    }))),
-                    (AVal::Int(_) | AVal::Unknown, _) => Some(AVal::Unknown),
-                    _ => return Err(Stop),
-                }
-            }
-        };
-
-        if let Some(v) = result {
-            match tgt {
-                Tgt::Var(name) => {
-                    if let Some(slot) = self.lookup_mut(&name) {
-                        slot.val = v;
-                    }
-                }
-                Tgt::Elem(name, i) => {
-                    if let Some(slot) = self.lookup_mut(&name) {
-                        if let AVal::Array(items) = &mut slot.val {
-                            if let Some(e) = items.get_mut(i) {
-                                *e = v;
-                            }
-                        }
-                    }
-                }
-                Tgt::Lost(name) => self.havoc(&name),
-            }
-        }
-        Ok(())
-    }
-
-    fn eval_index(&mut self, e: &Expr) -> R<Option<usize>> {
-        let v = self.eval(e)?;
-        let v = self.measure_if_quantum(v)?;
-        Ok(v.as_i64().filter(|&i| i >= 0).map(|i| i as usize))
-    }
-
-    fn exec_gate(&mut self, gate: GateKind, args: &[Expr]) -> R<()> {
-        let operand = |est: &mut Self, e: &Expr| -> R<Option<Vec<usize>>> {
-            match est.eval(e)? {
-                AVal::Quantum(qubits, _) => Ok(Some(qubits)),
-                AVal::Unknown => Ok(None),
-                _ => Err(Stop),
-            }
-        };
-        match gate {
-            GateKind::Hadamard | GateKind::NotGate | GateKind::PauliY | GateKind::PauliZ => {
-                let Some(e) = args.first() else {
-                    return Err(Stop);
-                };
-                let Some(qubits) = operand(self, e)? else {
-                    self.inexact("gate applied to a register the estimator lost track of");
-                    return Ok(());
-                };
-                for qb in qubits {
-                    let g = match gate {
-                        GateKind::Hadamard => Gate::H(qb),
-                        GateKind::NotGate => Gate::X(qb),
-                        GateKind::PauliY => Gate::Y(qb),
-                        _ => Gate::Z(qb),
-                    };
-                    self.apply(g)?;
-                }
-            }
-            GateKind::Phase => {
-                let (Some(e0), Some(e1)) = (args.first(), args.get(1)) else {
-                    return Err(Stop);
-                };
-                let qubits = operand(self, e0)?;
-                let angle = self.eval(e1)?.as_f64().unwrap_or(0.0);
-                let Some(qubits) = qubits else {
-                    self.inexact("gate applied to a register the estimator lost track of");
-                    return Ok(());
-                };
-                for qb in qubits {
-                    self.apply(Gate::Phase {
-                        target: qb,
-                        lambda: angle,
-                    })?;
-                }
-            }
-            GateKind::CNot => {
-                let (Some(e0), Some(e1)) = (args.first(), args.get(1)) else {
-                    return Err(Stop);
-                };
-                let c = operand(self, e0)?;
-                let t = operand(self, e1)?;
-                let (Some(c), Some(t)) = (c, t) else {
-                    self.inexact("gate applied to a register the estimator lost track of");
-                    return Ok(());
-                };
-                if c.len() == t.len() {
-                    for (&cq, &tq) in c.iter().zip(&t) {
-                        self.apply(Gate::CX {
-                            control: cq,
-                            target: tq,
-                        })?;
-                    }
-                } else if c.len() == 1 {
-                    for &tq in &t {
-                        self.apply(Gate::CX {
-                            control: c[0],
-                            target: tq,
-                        })?;
-                    }
-                } else {
-                    return Err(Stop);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    // ---- quantum constructors (mirror TypeCastingHandler) ---------------
-
-    fn new_quint(&mut self, v: u64, width: Option<usize>) -> R<Vec<usize>> {
-        let width = width.unwrap_or_else(|| bits_for(v));
-        let qubits = self.allocate(width)?;
-        for (i, &q) in qubits.iter().enumerate() {
-            if v >> i & 1 == 1 {
-                self.apply(Gate::X(q))?;
-            }
-        }
-        Ok(qubits)
-    }
-
-    fn new_qustring(&mut self, bits: &str) -> R<Vec<usize>> {
-        if bits.is_empty() || !bits.chars().all(|c| c == '0' || c == '1') {
-            return Err(Stop);
-        }
-        let qubits = self.allocate(bits.len())?;
-        for (i, c) in bits.chars().enumerate() {
-            if c == '1' {
-                self.apply(Gate::X(qubits[i]))?;
-            }
-        }
-        Ok(qubits)
-    }
-
-    // ---- quantum arithmetic (mirrors Interp) ----------------------------
-
-    fn cx_copy(&mut self, src: &[usize], width: usize) -> R<Vec<usize>> {
-        let dst = self.acquire(width)?;
-        for (i, &s) in src.iter().enumerate().take(width) {
-            self.apply(Gate::CX {
-                control: s,
-                target: dst[i],
-            })?;
-        }
-        Ok(dst)
-    }
-
-    fn uncompute_cx_copy(&mut self, src: &[usize], dst: &[usize]) -> R<()> {
-        for (i, &s) in src.iter().enumerate().take(dst.len()) {
-            self.apply(Gate::CX {
-                control: s,
-                target: dst[i],
-            })?;
-        }
-        Ok(())
-    }
-
-    fn quint_add_sub_in_place(&mut self, target: &[usize], rhs: AVal, subtract: bool) -> R<()> {
-        match rhs {
-            // `add_const` (the Draper adder) emits the same gate count for
-            // every constant — only the phase angles differ — so an
-            // unknown classical addend still mirrors exactly.
-            AVal::Int(k) => {
-                let k = match k {
-                    Some(k) if k >= 0 => k as u64,
-                    Some(_) => return Err(Stop),
-                    None => 0,
-                };
-                let n = target.len() as u32;
-                let k = if subtract {
-                    let modulus = 1u64.checked_shl(n).ok_or(Stop)?;
-                    let k = k % modulus;
-                    (modulus - k) % modulus
-                } else {
-                    k
-                };
-                let mut frag = self.fragment();
-                arithmetic::add_const(&mut frag, target, k).map_err(|_| Stop)?;
-                self.apply_fragment(&frag)?;
-            }
-            AVal::Bool(b) => {
-                return self.quint_add_sub_in_place(
-                    target,
-                    AVal::Int(b.map(|b| b as i64)),
-                    subtract,
-                )
-            }
-            AVal::Quantum(q, QKind::Quint) => {
-                let w = target.len();
-                let tmp = self.cx_copy(&q, w)?;
-                let carry = self.acquire(1)?;
-                let mut frag = self.fragment();
-                let r = if subtract {
-                    arithmetic::sub_in_place(&mut frag, &tmp, target, carry[0])
-                } else {
-                    arithmetic::add_in_place(&mut frag, &tmp, target, carry[0])
-                };
-                r.map_err(|_| Stop)?;
-                self.apply_fragment(&frag)?;
-                self.uncompute_cx_copy(&q, &tmp)?;
-                self.release(&tmp);
-                self.release(&carry);
-            }
-            AVal::Unknown => {
-                self.inexact("quint arithmetic with an operand the estimator lost track of");
-            }
-            _ => return Err(Stop),
-        }
-        Ok(())
-    }
-
-    fn quint_add_sub_expr(&mut self, a: &[usize], rhs: AVal, subtract: bool) -> R<AVal> {
-        let rhs_width = match &rhs {
-            AVal::Int(Some(k)) if *k >= 0 => bits_for(*k as u64),
-            AVal::Int(Some(_)) => return Err(Stop),
-            AVal::Bool(_) => 1,
-            AVal::Quantum(q, QKind::Quint) => q.len(),
-            AVal::Int(None) | AVal::Unknown => {
-                self.inexact("quint arithmetic with a run-dependent operand: result width unknown");
-                return Ok(AVal::Unknown);
-            }
-            _ => return Err(Stop),
-        };
-        let w = a.len().max(rhs_width) + usize::from(!subtract);
-        let result = self.cx_copy(a, w)?;
-        self.quint_add_sub_in_place(&result, rhs, subtract)?;
-        Ok(AVal::Quantum(result, QKind::Quint))
-    }
-
-    fn quint_mul_expr(&mut self, a: &[usize], rhs: AVal) -> R<AVal> {
-        let mut constant_factor: Option<(u64, Vec<usize>)> = None;
-        let b: Vec<usize> = match rhs {
-            AVal::Quantum(q, QKind::Quint) => q,
-            AVal::Int(Some(k)) if k >= 0 => {
-                let r = self.new_quint(k as u64, None)?;
-                constant_factor = Some((k as u64, r.clone()));
-                r
-            }
-            AVal::Bool(Some(bit)) => {
-                let r = self.new_quint(bit as u64, None)?;
-                constant_factor = Some((bit as u64, r.clone()));
-                r
-            }
-            AVal::Int(None) | AVal::Bool(None) | AVal::Unknown => {
-                self.inexact("quint multiplication by a run-dependent factor: width unknown");
-                return Ok(AVal::Unknown);
-            }
-            _ => return Err(Stop),
-        };
-        let pw = a.len() + b.len();
-        let product = self.allocate(pw)?;
-        let carry = self.acquire(1)?;
-        let mut frag = self.fragment();
-        arithmetic::mul_into(&mut frag, a, &b, &product, carry[0]).map_err(|_| Stop)?;
-        self.apply_fragment(&frag)?;
-        self.release(&carry);
-        if let Some((k, factor)) = constant_factor {
-            for (i, &fq) in factor.iter().enumerate() {
-                if k >> i & 1 == 1 {
-                    self.apply(Gate::X(fq))?;
-                }
-            }
-            self.release(&factor);
-        }
-        Ok(AVal::Quantum(product, QKind::Quint))
-    }
-
-    fn rotate_in_place(&mut self, qubits: &[usize], k: usize, left: bool) -> R<()> {
-        let mut frag = self.fragment();
-        let r = if left {
-            rotation::rotate_left_constant_depth(&mut frag, qubits, k)
-        } else {
-            rotation::rotate_right_constant_depth(&mut frag, qubits, k)
-        };
-        r.map_err(|_| Stop)?;
-        self.apply_fragment(&frag)
-    }
-
-    // ---- the `in` operator: Grover substring search -----------------------
-
-    /// Upper-bounds `pattern in haystack` for a qustring haystack.
-    ///
-    /// The runtime's BBHT schedule draws random iteration counts and may
-    /// return early, so the real circuit is run-dependent; the mirror
-    /// plays the schedule's *worst case* (maximum draw every round, no
-    /// early exit), which dominates every actual run. `bits` is `None`
-    /// when the pattern string is not statically known, in which case the
-    /// worst pattern (every length, all-zero bits — the most X-conjugation
-    /// in the oracle) is taken.
-    fn substring_search_upper_bound(&mut self, bits: Option<Vec<bool>>, hay: &[usize]) -> R<AVal> {
-        let n = hay.len();
-        self.inexact(
+    fn bbht_iterations(&mut self, bound: usize) -> usize {
+        self.note(
             "Grover substring search ('in'): the BBHT schedule is randomized, so the \
              mirrored counts are its worst case",
         );
-        match bits {
-            Some(b) if b.is_empty() => Ok(AVal::Bool(Some(true))),
-            Some(b) if b.len() > n => Ok(AVal::Bool(Some(false))),
-            Some(b) => {
-                self.mirror_substring(&b, hay)?;
-                Ok(AVal::Bool(None))
-            }
-            None => {
-                if n == 0 {
-                    // Any non-empty pattern misses; the empty one matches.
-                    // Either way no circuit is built.
-                    return Ok(AVal::Bool(None));
-                }
-                // Unknown pattern: bound every length, keep the world with
-                // the most gates, and fold the other lengths' excesses into
-                // additive slack so each metric stays an upper bound.
-                let mut best: Option<Est<'p>> = None;
-                let (mut max_g, mut max_d, mut max_q, mut max_m) = (0, 0, 0, 0);
-                for m in 1..=n {
-                    let mut world = self.clone();
-                    world.mirror_substring(&vec![false; m], hay)?;
-                    let g = world.circ.size();
-                    max_d = max_d.max(world.circ.depth());
-                    max_q = max_q.max(world.circ.num_qubits());
-                    max_m = max_m.max(world.measurements);
-                    if g >= max_g {
-                        max_g = g;
-                        best = Some(world);
-                    }
-                }
-                let Some(chosen) = best else { return Err(Stop) };
-                let (d, q, meas) = (
-                    chosen.circ.depth(),
-                    chosen.circ.num_qubits(),
-                    chosen.measurements,
+        bound
+    }
+
+    /// Dürr–Høyer runs on its own internal circuit: it costs nothing in
+    /// the accumulated circuit, and its answer is not predicted.
+    fn extremum(&mut self, _values: &[u64], _maximum: bool) -> QutesResult<Value> {
+        Ok(Value::Unknown(Unknown::Int))
+    }
+
+    fn imprecise(&mut self, note: &str, slack: Slack) {
+        self.note(note);
+        self.slack.qubits += slack.qubits;
+        self.slack.gates += slack.gates;
+        self.slack.depth += slack.depth;
+        self.slack.measurements += slack.measurements;
+    }
+
+    fn split(&self) -> QutesResult<Self> {
+        Ok(self.clone())
+    }
+
+    /// If both worlds end in the same circuit and environment the merge
+    /// is exact; otherwise the world with more gates is kept and the
+    /// other's excess on every metric becomes additive slack.
+    fn join(&mut self, other: Self, envs_agree: bool) -> Merge {
+        // A non-Clifford gate on *either* path poisons the Clifford claim
+        // — the discarded world's gates survive only as slack counts.
+        let clifford_both = self.clifford_only && other.clifford_only;
+        let same_world = envs_agree
+            && self.circ.ops() == other.circ.ops()
+            && self.circ.num_qubits() == other.circ.num_qubits()
+            && self.free == other.free
+            && self.measurements == other.measurements
+            && (self.slack.gates, self.slack.qubits, self.slack.measurements)
+                == (
+                    other.slack.gates,
+                    other.slack.qubits,
+                    other.slack.measurements,
                 );
-                *self = chosen;
-                self.slack_depth += max_d.saturating_sub(d);
-                self.slack_qubits += max_q.saturating_sub(q);
-                self.slack_meas += max_m.saturating_sub(meas);
-                Ok(AVal::Bool(None))
-            }
-        }
-    }
-
-    /// Plays the worst-case BBHT run onto the shadow circuit, mirroring
-    /// the runtime's fragment construction op for op.
-    fn mirror_substring(&mut self, bits: &[bool], hay: &[usize]) -> R<()> {
-        let n = hay.len();
-        let m = bits.len();
-        if n > 32 {
-            // A qustring this wide cannot be simulated densely anyway;
-            // mirroring the search would explode the shadow circuit.
-            return Err(Stop);
-        }
-        let positions = n - m + 1;
-        let pw = usize::max(1, (usize::BITS - (positions - 1).leading_zeros()) as usize);
-        let pos = self.acquire(pw)?;
-
-        let values: Vec<u64> = (0..positions as u64).collect();
-        let mut prep = self.fragment();
-        state_prep::prepare_uniform_over(&mut prep, &pos, &values).map_err(|_| Stop)?;
-        let prep_inv = prep.inverse().map_err(|_| Stop)?;
-
-        let mut oracle = self.fragment();
-        for i in 0..positions {
-            let mut conjugated: Vec<usize> = Vec::new();
-            for (bit, &pq) in pos.iter().enumerate() {
-                if i >> bit & 1 == 0 {
-                    oracle.x(pq).map_err(|_| Stop)?;
-                    conjugated.push(pq);
-                }
-            }
-            for (j, &pbit) in bits.iter().enumerate() {
-                if !pbit {
-                    oracle.x(hay[i + j]).map_err(|_| Stop)?;
-                    conjugated.push(hay[i + j]);
-                }
-            }
-            let mut involved: Vec<usize> = pos.clone();
-            involved.extend((0..m).map(|j| hay[i + j]));
-            let Some((&last, rest)) = involved.split_last() else {
-                return Err(Stop);
-            };
-            oracle.mcz(rest, last).map_err(|_| Stop)?;
-            for &q in conjugated.iter().rev() {
-                oracle.x(q).map_err(|_| Stop)?;
-            }
-        }
-
-        let mut diffusion = self.fragment();
-        diffusion.extend(&prep_inv).map_err(|_| Stop)?;
-        for &pq in &pos {
-            diffusion.x(pq).map_err(|_| Stop)?;
-        }
-        let Some((&last, rest)) = pos.split_last() else {
-            return Err(Stop);
-        };
-        diffusion.mcz(rest, last).map_err(|_| Stop)?;
-        for &pq in &pos {
-            diffusion.x(pq).map_err(|_| Stop)?;
-        }
-        diffusion.extend(&prep).map_err(|_| Stop)?;
-
-        // Worst case of the runtime's loop: every round draws the maximum
-        // iteration count, every candidate is in range (so the window
-        // verification measure happens), the reset flips every pos bit,
-        // and no round succeeds early.
-        let sqrt_n = (positions as f64).sqrt();
-        let max_rounds = 12 + 3 * sqrt_n.ceil() as usize;
-        let mut bound = 1.0f64;
-        for _ in 0..max_rounds {
-            self.step()?;
-            self.apply_fragment(&prep)?;
-            let k = bound.ceil() as usize;
-            for _ in 0..k {
-                self.apply_fragment(&oracle)?;
-                self.apply_fragment(&diffusion)?;
-            }
-            self.shadow_measure(&pos)?;
-            for &pq in &pos {
-                self.apply(Gate::X(pq))?;
-            }
-            self.shadow_measure(&hay[..m])?;
-            bound = (bound * 1.3).min(sqrt_n.max(1.0));
-        }
-        self.release(&pos);
-        Ok(())
-    }
-
-    // ---- expressions ------------------------------------------------------
-
-    fn eval(&mut self, e: &Expr) -> R<AVal> {
-        self.eval_with_target(e, None)
-    }
-
-    fn eval_condition(&mut self, e: &Expr) -> R<Option<bool>> {
-        let v = self.eval(e)?;
-        let v = self.measure_if_quantum(v)?;
-        if matches!(v, AVal::Unknown) {
-            return Ok(None);
-        }
-        Ok(v.as_bool())
-    }
-
-    fn eval_with_target(&mut self, e: &Expr, target: Option<&Type>) -> R<AVal> {
-        self.step()?;
-        match &e.kind {
-            ExprKind::Int(v) => Ok(AVal::Int(Some(*v))),
-            ExprKind::Float(v) => Ok(AVal::Float(Some(*v))),
-            ExprKind::Bool(b) => Ok(AVal::Bool(Some(*b))),
-            ExprKind::Str(s) => Ok(AVal::Str(Some(s.clone()))),
-            ExprKind::Pi => Ok(AVal::Float(Some(std::f64::consts::PI))),
-            ExprKind::Quint(v) => {
-                if matches!(target, Some(Type::Qubit)) && *v <= 1 {
-                    let qubits = self.allocate(1)?;
-                    if *v == 1 {
-                        self.apply(Gate::X(qubits[0]))?;
-                    }
-                    Ok(AVal::Quantum(qubits, QKind::Qubit))
-                } else {
-                    Ok(AVal::Quantum(self.new_quint(*v, None)?, QKind::Quint))
-                }
-            }
-            ExprKind::Qustring(s) => Ok(AVal::Quantum(self.new_qustring(s)?, QKind::Qustring)),
-            ExprKind::Ket(k) => {
-                let qubits = self.allocate(1)?;
-                match k {
-                    KetState::Zero => {}
-                    KetState::One => self.apply(Gate::X(qubits[0]))?,
-                    KetState::Plus => self.apply(Gate::H(qubits[0]))?,
-                    KetState::Minus => {
-                        self.apply(Gate::X(qubits[0]))?;
-                        self.apply(Gate::H(qubits[0]))?;
-                    }
-                }
-                Ok(AVal::Quantum(qubits, QKind::Qubit))
-            }
-            ExprKind::Array(elems) => {
-                let elem_target = match target {
-                    Some(Type::Array(t)) => Some((**t).clone()),
-                    _ => None,
-                };
-                let mut items = Vec::with_capacity(elems.len());
-                for el in elems {
-                    let v = self.eval_with_target(el, elem_target.as_ref())?;
-                    let v = match &elem_target {
-                        Some(t) => self.coerce(v, t)?,
-                        None => v,
-                    };
-                    items.push(v);
-                }
-                Ok(AVal::Array(items))
-            }
-            ExprKind::QuantumArray(elems) => {
-                let vals: Vec<AVal> = elems
-                    .iter()
-                    .map(|el| self.eval(el))
-                    .collect::<R<Vec<_>>>()?;
-                let any_float = vals.iter().any(|v| matches!(v, AVal::Float(_)));
-                if any_float || matches!(target, Some(Type::Qubit)) {
-                    let (Some(a), Some(b)) = (
-                        vals.first().and_then(AVal::as_f64),
-                        vals.get(1).and_then(AVal::as_f64),
-                    ) else {
-                        self.inexact("qubit amplitude literal with run-dependent amplitudes");
-                        return Ok(AVal::Unknown);
-                    };
-                    if vals.len() != 2 {
-                        return Err(Stop);
-                    }
-                    let norm = (a * a + b * b).sqrt();
-                    if !norm.is_finite() || norm < 1e-9 || (norm - 1.0).abs() > 1e-6 {
-                        return Err(Stop);
-                    }
-                    let qubits = self.allocate(1)?;
-                    let mut frag = self.fragment();
-                    state_prep::prepare_real_amplitudes(&mut frag, &qubits, &[a / norm, b / norm])
-                        .map_err(|_| Stop)?;
-                    self.apply_fragment(&frag)?;
-                    Ok(AVal::Quantum(qubits, QKind::Qubit))
-                } else {
-                    let values: Option<Vec<u64>> = vals
-                        .iter()
-                        .map(|v| v.as_i64().filter(|&i| i >= 0).map(|i| i as u64))
-                        .collect();
-                    let Some(values) = values else {
-                        self.inexact(
-                            "superposition literal with run-dependent values: state \
-                             preparation network unknown",
-                        );
-                        return Ok(AVal::Unknown);
-                    };
-                    if values.is_empty() {
-                        return Err(Stop);
-                    }
-                    let width = values.iter().map(|&v| bits_for(v)).max().unwrap_or(1);
-                    let qubits = self.allocate(width)?;
-                    let mut frag = self.fragment();
-                    state_prep::prepare_uniform_over(&mut frag, &qubits, &values)
-                        .map_err(|_| Stop)?;
-                    self.apply_fragment(&frag)?;
-                    Ok(AVal::Quantum(qubits, QKind::Quint))
-                }
-            }
-            ExprKind::Var(name) => match self.lookup(name) {
-                Some(slot) => Ok(slot.val.clone()),
-                None => Err(Stop),
-            },
-            ExprKind::Index(base, idx) => {
-                let b = self.eval(base)?;
-                let i = self.eval_index(idx)?;
-                match (b, i) {
-                    (AVal::Array(items), Some(i)) => match items.get(i) {
-                        Some(v) => Ok(v.clone()),
-                        None => Err(Stop),
-                    },
-                    (AVal::Quantum(qubits, _), Some(i)) => match qubits.get(i) {
-                        Some(&q) => Ok(AVal::Quantum(vec![q], QKind::Qubit)),
-                        None => Err(Stop),
-                    },
-                    (AVal::Str(Some(s)), Some(i)) => match s.chars().nth(i) {
-                        Some(c) => Ok(AVal::Str(Some(c.to_string()))),
-                        None => Err(Stop),
-                    },
-                    (AVal::Quantum(_, _), None) => {
-                        self.inexact("quantum register indexed by a run-dependent value");
-                        Ok(AVal::Unknown)
-                    }
-                    _ => Ok(AVal::Unknown),
-                }
-            }
-            ExprKind::Unary(op, inner) => {
-                let v = self.eval(inner)?;
-                let v = self.measure_if_quantum(v)?;
-                Ok(match op {
-                    UnOp::Neg => match v {
-                        AVal::Int(i) => AVal::Int(i.map(|i| -i)),
-                        AVal::Float(f) => AVal::Float(f.map(|f| -f)),
-                        AVal::Unknown => AVal::Unknown,
-                        _ => return Err(Stop),
-                    },
-                    UnOp::Not => match v.as_bool() {
-                        Some(b) => AVal::Bool(Some(!b)),
-                        None if matches!(v, AVal::Bool(_) | AVal::Int(_) | AVal::Unknown) => {
-                            AVal::Bool(None)
-                        }
-                        None => return Err(Stop),
-                    },
-                })
-            }
-            ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r),
-            ExprKind::Call(name, args) => self.eval_call(name, args),
-            ExprKind::MeasureExpr(inner) => {
-                let v = self.eval(inner)?;
-                match v {
-                    q @ AVal::Quantum(_, _) => self.measure_if_quantum(q),
-                    AVal::Unknown => {
-                        self.inexact("measure of a value the estimator lost track of");
-                        self.slack_meas += 1;
-                        Ok(AVal::Unknown)
-                    }
-                    _ => Err(Stop),
-                }
-            }
-        }
-    }
-
-    fn eval_binary(&mut self, op: BinOp, l: &Expr, r: &Expr) -> R<AVal> {
-        use BinOp::*;
-        if matches!(op, And | Or) {
-            let lv = self.eval_condition(l)?;
-            return match (op, lv) {
-                (And, Some(false)) => Ok(AVal::Bool(Some(false))),
-                (Or, Some(true)) => Ok(AVal::Bool(Some(true))),
-                (_, Some(_)) => {
-                    let rv = self.eval_condition(r)?;
-                    Ok(AVal::Bool(rv))
-                }
-                (_, None) => {
-                    // Whether the right side (and its measurements) runs
-                    // depends on the unknown left value: explore both.
-                    let r = r.clone();
-                    self.explore(
-                        move |e| {
-                            e.eval_condition(&r)?;
-                            Ok(Flow::Normal)
-                        },
-                        |_| Ok(Flow::Normal),
-                    )?;
-                    Ok(AVal::Bool(None))
-                }
-            };
-        }
-
-        let lv = self.eval(l)?;
-
-        if op == In {
-            let rv = self.eval(r)?;
-            let pattern = self.measure_if_quantum(lv)?;
-            return match rv {
-                AVal::Quantum(hay, QKind::Qustring) => {
-                    let bits = match &pattern {
-                        AVal::Str(Some(p)) => {
-                            if !p.chars().all(|c| c == '0' || c == '1') {
-                                return Err(Stop);
-                            }
-                            Some(p.chars().map(|c| c == '1').collect::<Vec<bool>>())
-                        }
-                        AVal::Str(None) => None,
-                        _ => return Err(Stop),
-                    };
-                    self.substring_search_upper_bound(bits, &hay)
-                }
-                rv => self.classical_binary(BinOp::In, pattern, rv),
-            };
-        }
-
-        if let AVal::Quantum(q, kind) = &lv {
-            if *kind == QKind::Quint && matches!(op, Add | Sub) {
-                let q = q.clone();
-                let rv = self.eval(r)?;
-                return self.quint_add_sub_expr(&q, rv, op == Sub);
-            }
-            if *kind == QKind::Quint && op == Mul {
-                let q = q.clone();
-                let rv = self.eval(r)?;
-                return self.quint_mul_expr(&q, rv);
-            }
-            if matches!(op, Shl | Shr) {
-                let (q, kind) = (q.clone(), *kind);
-                let rv = self.eval(r)?;
-                let Some(k) = rv.as_i64().filter(|&k| k >= 0) else {
-                    self.inexact(
-                        "cyclic shift by a run-dependent amount: rotation network unknown",
-                    );
-                    return Ok(AVal::Unknown);
-                };
-                let copy = self.cx_copy(&q, q.len())?;
-                self.rotate_in_place(&copy, k as usize, op == Shl)?;
-                return Ok(AVal::Quantum(copy, kind));
-            }
-        }
-        if let (Add | Mul, AVal::Int(_) | AVal::Bool(_)) = (op, &lv) {
-            let rv = self.eval(r)?;
-            if let AVal::Quantum(q, QKind::Quint) = &rv {
-                let q = q.clone();
-                return if op == Add {
-                    self.quint_add_sub_expr(&q, lv, false)
-                } else {
-                    self.quint_mul_expr(&q, lv)
-                };
-            }
-            return self.classical_binary(op, lv, rv);
-        }
-
-        let rv = self.eval(r)?;
-        self.classical_binary(op, lv, rv)
-    }
-
-    /// Classical folding that mirrors `Interp::classical_binary`; quantum
-    /// operands are measured, unknown operands yield unknown results.
-    fn classical_binary(&mut self, op: BinOp, lv: AVal, rv: AVal) -> R<AVal> {
-        use BinOp::*;
-        let lv = self.measure_if_quantum(lv)?;
-        let rv = self.measure_if_quantum(rv)?;
-        if matches!(lv, AVal::Unknown) || matches!(rv, AVal::Unknown) {
-            return Ok(AVal::Unknown);
-        }
-        let unknown_operand = |v: &AVal| {
-            matches!(
-                v,
-                AVal::Bool(None) | AVal::Int(None) | AVal::Float(None) | AVal::Str(None)
-            )
-        };
-        if unknown_operand(&lv) || unknown_operand(&rv) {
-            // The operation still type-checks; only the value is lost.
-            return Ok(match op {
-                Eq | Ne | Lt | Le | Gt | Ge | In => AVal::Bool(None),
-                _ => AVal::Unknown,
-            });
-        }
-        Ok(match op {
-            Add => match (&lv, &rv) {
-                (AVal::Str(Some(a)), AVal::Str(Some(b))) => AVal::Str(Some(format!("{a}{b}"))),
-                (AVal::Int(Some(a)), AVal::Int(Some(b))) => AVal::Int(Some(a.wrapping_add(*b))),
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => AVal::Float(Some(a + b)),
-                    _ => return Err(Stop),
-                },
-            },
-            Sub => match (&lv, &rv) {
-                (AVal::Int(Some(a)), AVal::Int(Some(b))) => AVal::Int(Some(a.wrapping_sub(*b))),
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => AVal::Float(Some(a - b)),
-                    _ => return Err(Stop),
-                },
-            },
-            Mul => match (&lv, &rv) {
-                (AVal::Int(Some(a)), AVal::Int(Some(b))) => AVal::Int(Some(a.wrapping_mul(*b))),
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => AVal::Float(Some(a * b)),
-                    _ => return Err(Stop),
-                },
-            },
-            Div => match (&lv, &rv) {
-                (AVal::Int(Some(a)), AVal::Int(Some(b))) => {
-                    if *b == 0 {
-                        return Err(Stop);
-                    } else if a % b == 0 {
-                        AVal::Int(Some(a / b))
-                    } else {
-                        AVal::Float(Some(*a as f64 / *b as f64))
-                    }
-                }
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) if b != 0.0 => AVal::Float(Some(a / b)),
-                    _ => return Err(Stop),
-                },
-            },
-            Mod => match (&lv, &rv) {
-                (AVal::Int(Some(a)), AVal::Int(Some(b))) => {
-                    if *b == 0 {
-                        return Err(Stop);
-                    }
-                    AVal::Int(Some(a.rem_euclid(*b)))
-                }
-                _ => return Err(Stop),
-            },
-            Shl | Shr => match (&lv, rv.as_i64()) {
-                (AVal::Int(Some(a)), Some(k)) if k >= 0 => AVal::Int(Some(if op == Shl {
-                    a.wrapping_shl(k as u32)
-                } else {
-                    a.wrapping_shr(k as u32)
-                })),
-                _ => return Err(Stop),
-            },
-            Eq | Ne => {
-                let eq = match (&lv, &rv) {
-                    (AVal::Str(Some(a)), AVal::Str(Some(b))) => a == b,
-                    (AVal::Bool(Some(a)), AVal::Bool(Some(b))) => a == b,
-                    _ => match (lv.as_f64(), rv.as_f64()) {
-                        (Some(a), Some(b)) => a == b,
-                        _ => return Err(Stop),
-                    },
-                };
-                AVal::Bool(Some(if op == Eq { eq } else { !eq }))
-            }
-            Lt | Le | Gt | Ge => {
-                let ord = match (&lv, &rv) {
-                    (AVal::Str(Some(a)), AVal::Str(Some(b))) => a.partial_cmp(b),
-                    _ => match (lv.as_f64(), rv.as_f64()) {
-                        (Some(a), Some(b)) => a.partial_cmp(&b),
-                        _ => return Err(Stop),
-                    },
-                };
-                let Some(ord) = ord else { return Err(Stop) };
-                AVal::Bool(Some(match op {
-                    Lt => ord.is_lt(),
-                    Le => ord.is_le(),
-                    Gt => ord.is_gt(),
-                    _ => ord.is_ge(),
-                }))
-            }
-            In => match (&lv, &rv) {
-                (AVal::Str(Some(p)), AVal::Str(Some(h))) => AVal::Bool(Some(h.contains(p))),
-                _ => return Err(Stop),
-            },
-            And | Or => return Err(Stop),
-        })
-    }
-
-    fn eval_call(&mut self, name: &str, args: &[Expr]) -> R<AVal> {
-        if let Some(v) = self.eval_builtin(name, args)? {
-            return Ok(v);
-        }
-        let Some(decl) = self.functions.get(name).copied() else {
-            return Err(Stop);
-        };
-        if args.len() != decl.params.len() {
-            return Err(Stop);
-        }
-        if self.call_depth + 1 > MAX_CALL_DEPTH {
-            self.inexact("call depth exceeds the estimator's bound");
-            return Ok(AVal::Unknown);
-        }
-        // Plain-variable arguments of exactly matching type bind by
-        // reference in the runtime; mirror that with a copy-back.
-        let mut bindings: Vec<(String, Type, AVal)> = Vec::with_capacity(args.len());
-        let mut by_ref: Vec<(String, String)> = Vec::new();
-        for (a, p) in args.iter().zip(&decl.params) {
-            let referenced = if let ExprKind::Var(var_name) = &a.kind {
-                match self.lookup(var_name) {
-                    Some(slot) if slot.ty == p.ty => Some((var_name.clone(), slot.val.clone())),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            let v = match referenced {
-                Some((var_name, v)) => {
-                    by_ref.push((var_name, p.name.clone()));
-                    v
-                }
-                None => {
-                    let v = self.eval_with_target(a, Some(&p.ty))?;
-                    self.coerce(v, &p.ty)?
-                }
-            };
-            bindings.push((p.name.clone(), p.ty.clone(), v));
-        }
-        self.call_depth += 1;
-        // Hide caller locals: only globals (scope 0) plus parameters are
-        // visible inside the function.
-        let saved: Vec<HashMap<String, Slot>> = self.scopes.split_off(1);
-        self.scopes.push(HashMap::new());
-        for (pname, pty, v) in bindings {
-            self.declare(&pname, pty, v);
-        }
-        let flow = self.exec_stmts(&decl.body.stmts);
-        let param_scope = self.scopes.pop().unwrap_or_default();
-        self.scopes.truncate(1);
-        self.scopes.extend(saved);
-        self.call_depth -= 1;
-        for (var_name, pname) in by_ref {
-            if let Some(slot) = param_scope.get(&pname) {
-                let v = slot.val.clone();
-                if let Some(target) = self.lookup_mut(&var_name) {
-                    target.val = v;
-                }
-            }
-        }
-        match flow? {
-            Flow::Return(v) => Ok(v),
-            Flow::Normal if decl.ret_type == Type::Void => Ok(AVal::Void),
-            Flow::Normal => Err(Stop),
-        }
-    }
-
-    fn eval_builtin(&mut self, name: &str, args: &[Expr]) -> R<Option<AVal>> {
-        let v = match name {
-            "len" => {
-                let Some(a) = args.first() else {
-                    return Err(Stop);
-                };
-                match self.eval(a)? {
-                    AVal::Array(items) => AVal::Int(Some(items.len() as i64)),
-                    AVal::Str(s) => AVal::Int(s.map(|s| s.chars().count() as i64)),
-                    AVal::Quantum(q, _) => AVal::Int(Some(q.len() as i64)),
-                    AVal::Unknown => AVal::Int(None),
-                    _ => return Err(Stop),
-                }
-            }
-            "width" => {
-                let Some(a) = args.first() else {
-                    return Err(Stop);
-                };
-                match self.eval(a)? {
-                    AVal::Quantum(q, _) => AVal::Int(Some(q.len() as i64)),
-                    AVal::Unknown => AVal::Int(None),
-                    _ => return Err(Stop),
-                }
-            }
-            "range" => {
-                let Some(a) = args.first() else {
-                    return Err(Stop);
-                };
-                match self.eval(a)?.as_i64() {
-                    Some(n) if n >= 0 => AVal::Array((0..n).map(|i| AVal::Int(Some(i))).collect()),
-                    Some(_) => return Err(Stop),
-                    None => AVal::Unknown,
-                }
-            }
-            "int" | "float" | "bool" | "str" => {
-                let Some(a) = args.first() else {
-                    return Err(Stop);
-                };
-                let v = self.eval(a)?;
-                let v = self.measure_if_quantum(v)?;
-                match name {
-                    "int" => match v {
-                        AVal::Int(i) => AVal::Int(i),
-                        AVal::Float(f) => AVal::Int(f.map(|f| f.trunc() as i64)),
-                        AVal::Bool(b) => AVal::Int(b.map(|b| b as i64)),
-                        AVal::Str(Some(s)) => match s.trim().parse::<i64>() {
-                            Ok(i) => AVal::Int(Some(i)),
-                            Err(_) => return Err(Stop),
-                        },
-                        AVal::Str(None) | AVal::Unknown => AVal::Int(None),
-                        _ => return Err(Stop),
-                    },
-                    "float" => match v.as_f64() {
-                        Some(f) => AVal::Float(Some(f)),
-                        None => match v {
-                            AVal::Str(Some(s)) => match s.trim().parse::<f64>() {
-                                Ok(f) => AVal::Float(Some(f)),
-                                Err(_) => return Err(Stop),
-                            },
-                            AVal::Int(None)
-                            | AVal::Float(None)
-                            | AVal::Bool(None)
-                            | AVal::Str(None)
-                            | AVal::Unknown => AVal::Float(None),
-                            _ => return Err(Stop),
-                        },
-                    },
-                    "bool" => AVal::Bool(match v {
-                        AVal::Unknown
-                        | AVal::Bool(None)
-                        | AVal::Int(None)
-                        | AVal::Float(None)
-                        | AVal::Str(None) => None,
-                        known => match known.as_bool() {
-                            Some(b) => Some(b),
-                            None => return Err(Stop),
-                        },
-                    }),
-                    _ => match v {
-                        AVal::Int(Some(i)) => AVal::Str(Some(i.to_string())),
-                        AVal::Bool(Some(b)) => AVal::Str(Some(b.to_string())),
-                        AVal::Str(s) => AVal::Str(s),
-                        AVal::Float(Some(f)) => AVal::Str(Some(f.to_string())),
-                        _ => AVal::Str(None),
-                    },
-                }
-            }
-            "qmin" | "qmax" => {
-                // Dürr–Høyer runs on its own internal circuit, so it costs
-                // nothing in the accumulated circuit — but quantum array
-                // elements are measured first, which does.
-                let Some(a) = args.first() else {
-                    return Err(Stop);
-                };
-                match self.eval(a)? {
-                    AVal::Array(items) => {
-                        if items.is_empty() {
-                            return Err(Stop);
-                        }
-                        for item in items {
-                            self.measure_if_quantum(item)?;
-                        }
-                        AVal::Int(None)
-                    }
-                    AVal::Unknown => {
-                        self.inexact("qmin/qmax over a collection the estimator lost track of");
-                        AVal::Int(None)
-                    }
-                    _ => return Err(Stop),
-                }
-            }
-            "rotl" | "rotr" => {
-                let (Some(a0), Some(a1)) = (args.first(), args.get(1)) else {
-                    return Err(Stop);
-                };
-                let q = self.eval(a0)?;
-                let k = self.eval(a1)?;
-                match (q, k.as_i64()) {
-                    (AVal::Quantum(qubits, _), Some(k)) if k >= 0 => {
-                        self.rotate_in_place(&qubits, k as usize, name == "rotl")?;
-                    }
-                    (AVal::Quantum(_, _) | AVal::Unknown, _) => {
-                        self.inexact(
-                            "cyclic shift by a run-dependent amount: rotation network unknown",
-                        );
-                    }
-                    _ => return Err(Stop),
-                }
-                AVal::Void
-            }
-            _ => return Ok(None),
-        };
-        Ok(Some(v))
-    }
-
-    // ---- both-worlds exploration -----------------------------------------
-
-    /// Runs two alternative continuations on clones of the current state.
-    /// If both worlds end in the same circuit and environment the merge is
-    /// exact; otherwise the larger world is kept and the difference
-    /// becomes additive slack (every figure stays an upper bound).
-    fn explore(
-        &mut self,
-        then_f: impl FnOnce(&mut Est<'p>) -> R<Flow>,
-        else_f: impl FnOnce(&mut Est<'p>) -> R<Flow>,
-    ) -> R<Flow> {
-        let mut a = self.clone();
-        let mut b = self.clone();
-        let fa = then_f(&mut a)?;
-        let fb = else_f(&mut b)?;
-        self.steps = a.steps.max(b.steps);
-        // A non-Clifford gate on *either* path poisons the Clifford
-        // claim — the discarded world's gates survive only as slack
-        // counts, so the bit must be merged before a world is dropped.
-        let clifford_both = a.clifford_only && b.clifford_only;
-
-        let same_world = a.circ.ops() == b.circ.ops()
-            && a.circ.num_qubits() == b.circ.num_qubits()
-            && a.free == b.free
-            && a.measurements == b.measurements
-            && a.scopes == b.scopes
-            && a.slack_gates == b.slack_gates
-            && a.slack_qubits == b.slack_qubits
-            && a.slack_meas == b.slack_meas;
-        if same_world {
-            let steps = self.steps;
-            *self = a;
-            self.steps = steps;
-            self.clifford_only = clifford_both;
-            // The worlds agree, but differing return values still matter.
-            return Ok(match (fa, fb) {
-                (Flow::Return(va), Flow::Return(vb)) => {
-                    Flow::Return(if va == vb { va } else { AVal::Unknown })
-                }
-                (Flow::Normal, Flow::Normal) => Flow::Normal,
-                (f @ Flow::Return(_), Flow::Normal) | (Flow::Normal, f @ Flow::Return(_)) => {
-                    self.inexact("a measurement-dependent branch may return early");
-                    f
-                }
-            });
-        }
-
-        let totals = |w: &Est<'p>| {
-            (
-                w.circ.size() + w.slack_gates,
-                w.circ.depth() + w.slack_depth,
-                w.circ.num_qubits() + w.slack_qubits,
-                w.measurements + w.slack_meas,
-            )
-        };
-        let ta = totals(&a);
-        let tb = totals(&b);
-        let (mut kept, other, to, kept_flow, other_flow) = if ta.0 >= tb.0 {
-            (a, tb, ta, fa, fb)
+        // Ties keep the first world.
+        let merge = if same_world {
+            Merge::Identical
+        } else if other.totals()[0] >= self.totals()[0] {
+            Merge::KeptOther
         } else {
-            (b, ta, tb, fb, fa)
+            Merge::KeptSelf
         };
-        kept.slack_gates += other.0.saturating_sub(to.0);
-        kept.slack_depth += other.1.saturating_sub(to.1);
-        kept.slack_qubits += other.2.saturating_sub(to.2);
-        kept.slack_meas += other.3.saturating_sub(to.3);
-        kept.inexact(
-            "measurement-dependent branches build different circuits: totals are the \
-             larger branch plus slack for the other",
-        );
-        let steps = self.steps;
-        *self = kept;
-        self.steps = steps;
+        let dropped = match merge {
+            Merge::KeptSelf => other,
+            _ => std::mem::replace(self, other),
+        };
+        if merge != Merge::Identical {
+            let (kept, lost) = (self.totals(), dropped.totals());
+            let excess = |i: usize| lost[i].saturating_sub(kept[i]);
+            self.imprecise(
+                "measurement-dependent branches build different circuits: totals are the \
+                 larger branch plus slack for the other",
+                Slack {
+                    gates: excess(0),
+                    depth: excess(1),
+                    qubits: excess(2),
+                    measurements: excess(3),
+                },
+            );
+        }
+        for n in &dropped.notes {
+            self.note(n);
+        }
         self.clifford_only = clifford_both;
-        // Values that differ between the worlds are no longer known. The
-        // kept world's bindings survive only where both agree; the scope
-        // *structure* is identical (branches balance their push/pop).
-        // After a structural divergence, conservatively havoc everything.
-        self.havoc_all();
-        Ok(match (kept_flow, other_flow) {
-            (Flow::Return(va), Flow::Return(vb)) => {
-                Flow::Return(if va == vb { va } else { AVal::Unknown })
-            }
-            (f @ Flow::Return(_), Flow::Normal) | (Flow::Normal, f @ Flow::Return(_)) => f,
-            (Flow::Normal, Flow::Normal) => Flow::Normal,
-        })
+        merge
     }
-
-    fn havoc_all(&mut self) {
-        for scope in &mut self.scopes {
-            for slot in scope.values_mut() {
-                // Quantum registers keep their identity (the qubits exist
-                // either way); classical values diverge.
-                if !slot.val.is_quantum() {
-                    slot.val = AVal::Unknown;
-                }
-            }
-        }
-    }
-}
-
-/// Best-effort static type of an abstract value (for foreach bindings).
-fn abstract_type(v: &AVal) -> Type {
-    match v {
-        AVal::Bool(_) => Type::Bool,
-        AVal::Int(_) => Type::Int,
-        AVal::Float(_) => Type::Float,
-        AVal::Str(_) => Type::String,
-        AVal::Quantum(_, k) => k.as_type(),
-        AVal::Array(_) => Type::Array(Box::new(Type::Int)),
-        AVal::Void => Type::Void,
-        AVal::Unknown => Type::Int,
-    }
-}
-
-/// Syntactic set of variable names a statement list may write to
-/// (assignment targets and by-reference call arguments), used to havoc
-/// state after loops whose trip count is unknown.
-fn assigned_names(stmts: &[Stmt]) -> Vec<String> {
-    let mut out = Vec::new();
-    fn walk_expr(e: &Expr, out: &mut Vec<String>) {
-        match &e.kind {
-            ExprKind::Call(_, args) => {
-                for a in args {
-                    if let ExprKind::Var(n) = &a.kind {
-                        if !out.contains(n) {
-                            out.push(n.clone());
-                        }
-                    }
-                    walk_expr(a, out);
-                }
-            }
-            ExprKind::Unary(_, inner) | ExprKind::MeasureExpr(inner) => walk_expr(inner, out),
-            ExprKind::Binary(_, l, r) => {
-                walk_expr(l, out);
-                walk_expr(r, out);
-            }
-            ExprKind::Index(b, i) => {
-                walk_expr(b, out);
-                walk_expr(i, out);
-            }
-            ExprKind::Array(items) | ExprKind::QuantumArray(items) => {
-                for i in items {
-                    walk_expr(i, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    fn walk(stmts: &[Stmt], out: &mut Vec<String>) {
-        for s in stmts {
-            match s {
-                Stmt::Assign { target, value, .. } => {
-                    let (LValue::Name(n) | LValue::Index(n, _)) = target;
-                    if !out.contains(n) {
-                        out.push(n.clone());
-                    }
-                    walk_expr(value, out);
-                }
-                Stmt::If {
-                    cond,
-                    then_block,
-                    else_block,
-                    ..
-                } => {
-                    walk_expr(cond, out);
-                    walk(&then_block.stmts, out);
-                    if let Some(eb) = else_block {
-                        walk(&eb.stmts, out);
-                    }
-                }
-                Stmt::While { cond, body, .. } => {
-                    walk_expr(cond, out);
-                    walk(&body.stmts, out);
-                }
-                Stmt::Foreach { iterable, body, .. } => {
-                    walk_expr(iterable, out);
-                    walk(&body.stmts, out);
-                }
-                Stmt::VarDecl { init, .. } => {
-                    if let Some(e) = init {
-                        walk_expr(e, out);
-                    }
-                }
-                Stmt::Return { value: Some(e), .. }
-                | Stmt::Print { value: e, .. }
-                | Stmt::Expr { expr: e, .. }
-                | Stmt::Measure { target: e, .. } => walk_expr(e, out),
-                Stmt::Gate { args, .. } => {
-                    for a in args {
-                        walk_expr(a, out);
-                    }
-                }
-                Stmt::Block(b) => walk(&b.stmts, out),
-                Stmt::Return { value: None, .. } | Stmt::Barrier { .. } => {}
-            }
-        }
-    }
-    walk(stmts, &mut out);
-    out
 }
 
 #[cfg(test)]

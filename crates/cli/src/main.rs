@@ -74,7 +74,7 @@
 //! counts), and `--stats-json PATH` writes the full machine-readable
 //! snapshot to `PATH` (`-` for stdout).
 
-use qutes_core::{run_source, QutesError, RunConfig};
+use qutes_core::{QutesError, RunConfig};
 use qutes_frontend::{parse, print_program};
 use qutes_qasm::{to_qasm2, to_qasm3};
 use qutes_sim::NoiseModel;
@@ -316,36 +316,6 @@ fn analyze_contained(
     })
 }
 
-/// Runs the analyzer for `run --lint`: prints findings to stderr and
-/// reports whether execution may proceed.
-fn lint_gate(source: &str, args: &Args) -> Result<(), ExitCode> {
-    match analyze_contained(source, &lint_options(args)) {
-        Err(p) => {
-            eprintln!("error: {p}");
-            Err(ExitCode::FAILURE)
-        }
-        Ok(Ok(report)) => {
-            for f in &report.findings {
-                eprint!("{}", f.render(source));
-            }
-            if report.denied().is_empty() {
-                Ok(())
-            } else {
-                eprintln!(
-                    "error: program has deny-level lints; refusing to run (silence with -A <id>)"
-                );
-                Err(ExitCode::FAILURE)
-            }
-        }
-        Ok(Err(diags)) => {
-            for d in diags {
-                eprint!("{}", d.render(source));
-            }
-            Err(ExitCode::FAILURE)
-        }
-    }
-}
-
 /// Builds the noise model from the CLI flags, `None` when both are zero.
 fn noise_from_args(args: &Args) -> Option<NoiseModel> {
     if args.noise == 0.0 && args.readout_error == 0.0 {
@@ -463,7 +433,7 @@ fn main() -> ExitCode {
 
     match cmd.as_str() {
         "run" => {
-            let mut cfg = RunConfig {
+            let cfg = RunConfig {
                 seed: args.seed,
                 max_steps: args.max_steps,
                 noise: noise_from_args(&args),
@@ -479,32 +449,26 @@ fn main() -> ExitCode {
                 },
                 time_budget: args.time_budget_ms.map(Duration::from_millis),
                 backend: args.backend,
+                verify: args.verify,
                 ..RunConfig::default()
             };
             if args.observing() {
-                // Enable before the lint gate so `stage.analyze` and
-                // `stage.typecheck` land in the same trace/profile.
+                // Enable before the pipeline so every stage (parse,
+                // typecheck, analyze, dispatch, run) lands in the same
+                // trace/profile.
                 qutes_obs::reset();
                 qutes_obs::set_enabled(true);
             }
-            if args.lint {
-                if let Err(code) = lint_gate(&source, &args) {
-                    if args.observing() {
-                        let _ = report_observability(&args, true);
-                    }
-                    return code;
+            // One pipeline: parse once, type-check, lint (whose estimate
+            // also resolves `--backend auto`, see docs/backends.md), run,
+            // verify. It contains panics as typed internal errors.
+            let run = qutes::run_pipeline(&source, &cfg);
+            if let Some(report) = &run.lint {
+                for f in &report.findings {
+                    eprint!("{}", f.render(&source));
                 }
             }
-            // Resolve `--backend auto` from the estimator's static gate
-            // composition before execution, so the resolved engine shows
-            // up in `[stats]` and the obs snapshot even when the run is
-            // refused pre-flight (see docs/backends.md).
-            cfg.backend = qutes::resolve_backend(&source, &cfg);
-            // Containment boundary: a panic anywhere below surfaces as a
-            // typed internal error naming the stage, never an abort.
-            let result = qutes_supervisor::contain(|| run_source(&source, &cfg))
-                .unwrap_or_else(|p| Err(QutesError::from(p)));
-            match result {
+            match run.outcome {
                 Ok(out) => {
                     for line in &out.output {
                         println!("{line}");
@@ -536,7 +500,7 @@ fn main() -> ExitCode {
                         eprintln!(
                             "[stats] backend={} qubits={} measurements={} ops={} depth={} \
                              shot_threads={}",
-                            cfg.backend,
+                            run.backend,
                             out.qubits_used,
                             out.measurements,
                             stats.size,
@@ -563,43 +527,31 @@ fn main() -> ExitCode {
                             Err(e) => eprintln!("[opt] failed: {e}"),
                         }
                     }
-                    // `--verify`: translation-validate the optimizer
-                    // over the circuit this run accumulated, at the
-                    // run's own --opt-level. Refuse (non-zero exit) on
-                    // a proven-inequivalent rewrite; an `unknown` is
+                    // `--verify`: the pipeline translation-validated the
+                    // optimizer over the circuit this run accumulated, at
+                    // the run's own --opt-level. Refuse (non-zero exit)
+                    // on a proven-inequivalent rewrite; an `unknown` is
                     // sound to keep and only warns.
-                    let verify_failed = if args.verify {
-                        match verify_contained(&out.circuit, args.opt_level) {
-                            Err(e) => {
-                                eprintln!("error: {e}");
-                                true
-                            }
-                            Ok(v) => match v.verdict {
-                                qutes_analysis::Verdict::Inequivalent => {
-                                    report_inequivalent(&v);
-                                    true
-                                }
-                                qutes_analysis::Verdict::Unknown => {
-                                    let unknown = v
-                                        .boundaries
-                                        .iter()
-                                        .filter(|b| {
-                                            b.report.verdict == qutes_analysis::Verdict::Unknown
-                                        })
-                                        .count();
-                                    eprintln!(
-                                        "warning: verification inconclusive: {unknown} of {} \
-                                         rewrite boundaries exceeded every exact domain \
-                                         (sound to run; see docs/verification.md)",
-                                        v.boundaries.len()
-                                    );
-                                    false
-                                }
-                                qutes_analysis::Verdict::Equivalent => false,
-                            },
+                    let verify_failed = match &run.verification {
+                        Some(v) if v.verdict == qutes_analysis::Verdict::Inequivalent => {
+                            report_inequivalent(v);
+                            true
                         }
-                    } else {
-                        false
+                        Some(v) if v.verdict == qutes_analysis::Verdict::Unknown => {
+                            let unknown = v
+                                .boundaries
+                                .iter()
+                                .filter(|b| b.report.verdict == qutes_analysis::Verdict::Unknown)
+                                .count();
+                            eprintln!(
+                                "warning: verification inconclusive: {unknown} of {} \
+                                 rewrite boundaries exceeded every exact domain \
+                                 (sound to run; see docs/verification.md)",
+                                v.boundaries.len()
+                            );
+                            false
+                        }
+                        _ => false,
                     };
                     if args.observing() {
                         if let Err(e) = report_observability(&args, verify_failed) {
@@ -611,6 +563,15 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                     ExitCode::SUCCESS
+                }
+                Err(_) if run.lint.as_ref().is_some_and(|r| !r.denied().is_empty()) => {
+                    eprintln!(
+                        "error: program has deny-level lints; refusing to run (silence with -A <id>)"
+                    );
+                    if args.observing() {
+                        let _ = report_observability(&args, true);
+                    }
+                    ExitCode::FAILURE
                 }
                 Err(e) => {
                     // Capacity/backend refusals depend on which engine's
@@ -628,7 +589,7 @@ fn main() -> ExitCode {
                             )
                     );
                     if resource_refusal {
-                        eprintln!("error: refused on the '{}' backend:", cfg.backend);
+                        eprintln!("error: refused on the '{}' backend:", run.backend);
                     }
                     eprintln!("{}", e.render(&source));
                     if args.observing() {
@@ -643,19 +604,15 @@ fn main() -> ExitCode {
             }
         }
         "verify" => {
-            let mut cfg = RunConfig {
+            let cfg = RunConfig {
                 seed: args.seed,
                 max_steps: args.max_steps,
                 time_budget: args.time_budget_ms.map(Duration::from_millis),
                 ..RunConfig::default()
             };
-            // Resolve the engine exactly like `run` would: wide Clifford
-            // programs (e.g. examples/programs/ghz_100.qut) only execute
-            // on the tableau.
-            cfg.backend = qutes::resolve_backend(&source, &cfg);
-            let result = qutes_supervisor::contain(|| run_source(&source, &cfg))
-                .unwrap_or_else(|p| Err(QutesError::from(p)));
-            let out = match result {
+            // The same pipeline as `run`: wide Clifford programs (e.g.
+            // examples/programs/ghz_100.qut) only execute on the tableau.
+            let out = match qutes::run_pipeline(&source, &cfg).outcome {
                 Ok(out) => out,
                 Err(e) => {
                     eprintln!("{}", e.render(&source));
@@ -780,9 +737,9 @@ fn main() -> ExitCode {
                 time_budget: args.time_budget_ms.map(Duration::from_millis),
                 ..RunConfig::default()
             };
-            let result = qutes_supervisor::contain(|| run_source(&source, &cfg))
-                .unwrap_or_else(|p| Err(QutesError::from(p)));
-            match result {
+            // The same pipeline as `run`, so `--backend auto` dispatch
+            // applies: wide Clifford programs export from the tableau.
+            match qutes::run_pipeline(&source, &cfg).outcome {
                 Ok(out) => {
                     let rendered = if args.v3 {
                         to_qasm3(&out.circuit)

@@ -124,6 +124,22 @@ fn qasm_emits_openqasm2_and_3() {
 }
 
 #[test]
+fn qasm_dispatches_wide_clifford_programs_like_run() {
+    // 100 qubits only fit on the tableau: `qasm` must resolve
+    // `--backend auto` exactly as `run` does.
+    let ghz = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/programs/ghz_100.qut"
+    );
+    let out = qutes(&["qasm", ghz]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("[100];"), "{}", stdout(&out));
+    let out = qutes(&["qasm", ghz, "--v3"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("OPENQASM 3.0;"));
+}
+
+#[test]
 fn qasm_writes_output_file() {
     let p = write_program("qo.qut", "qubit a = |1>; print a;");
     let target = std::env::temp_dir().join("qutes-cli-tests/out.qasm");

@@ -5,8 +5,8 @@
 //! conversion happens "through a measurement process, which collapses the
 //! quantum state into a definite classical value".
 
+use crate::domain::{measured_value, Domain};
 use crate::error::{QutesError, QutesResult};
-use crate::handler::QuantumCircuitHandler;
 use crate::value::{QKind, QuantumRef, Value};
 use qutes_algos::state_prep;
 use qutes_frontend::{KetState, Span};
@@ -17,16 +17,13 @@ pub fn bits_for(v: u64) -> usize {
     (64 - v.leading_zeros() as usize).max(1)
 }
 
-/// Stateless casting routines over a [`QuantumCircuitHandler`].
+/// Stateless casting routines over an effect [`Domain`] (the live
+/// [`crate::QuantumCircuitHandler`] in a run).
 pub struct TypeCastingHandler;
 
 impl TypeCastingHandler {
     /// Allocates a qubit initialised to a basis state.
-    pub fn new_qubit_basis(
-        h: &mut QuantumCircuitHandler,
-        name: &str,
-        one: bool,
-    ) -> QutesResult<QuantumRef> {
+    pub fn new_qubit_basis(h: &mut impl Domain, name: &str, one: bool) -> QutesResult<QuantumRef> {
         h.check_capacity(1, name)?;
         let qubits = h.allocate(name, 1)?;
         if one {
@@ -40,7 +37,7 @@ impl TypeCastingHandler {
 
     /// Allocates a qubit initialised to a ket literal.
     pub fn new_qubit_ket(
-        h: &mut QuantumCircuitHandler,
+        h: &mut impl Domain,
         name: &str,
         ket: KetState,
     ) -> QutesResult<QuantumRef> {
@@ -64,7 +61,7 @@ impl TypeCastingHandler {
     /// Allocates a qubit with explicit real amplitudes `[a, b]`
     /// (normalised if within 1e-6 of unit norm, rejected otherwise).
     pub fn new_qubit_amplitudes(
-        h: &mut QuantumCircuitHandler,
+        h: &mut impl Domain,
         name: &str,
         a: f64,
         b: f64,
@@ -100,7 +97,7 @@ impl TypeCastingHandler {
     /// Allocates a quint holding the basis value `v` with `width` qubits
     /// (defaults to the minimum width when `None`).
     pub fn new_quint(
-        h: &mut QuantumCircuitHandler,
+        h: &mut impl Domain,
         name: &str,
         v: u64,
         width: Option<usize>,
@@ -123,7 +120,7 @@ impl TypeCastingHandler {
     /// (paper §5: "vectors containing quantum states, including
     /// superpositions of values").
     pub fn new_quint_superposed(
-        h: &mut QuantumCircuitHandler,
+        h: &mut impl Domain,
         name: &str,
         values: &[u64],
         span: Span,
@@ -149,7 +146,7 @@ impl TypeCastingHandler {
     /// Allocates a qustring encoding a classical bitstring (character `i`
     /// of the source string on qubit `i`).
     pub fn new_qustring(
-        h: &mut QuantumCircuitHandler,
+        h: &mut impl Domain,
         name: &str,
         bits: &str,
         span: Span,
@@ -180,7 +177,7 @@ impl TypeCastingHandler {
     /// register of `kind` (paper §4: "Classical variables can be promoted
     /// to quantum equivalents through type promotion").
     pub fn promote(
-        h: &mut QuantumCircuitHandler,
+        h: &mut impl Domain,
         name: &str,
         value: &Value,
         kind: QKind,
@@ -206,31 +203,19 @@ impl TypeCastingHandler {
     }
 
     /// Measurement-based conversion to a classical value: qubit → bool,
-    /// quint → int, qustring → string. Collapses the live state.
-    pub fn measure_to_classical(
-        h: &mut QuantumCircuitHandler,
-        q: &QuantumRef,
-    ) -> QutesResult<Value> {
-        // Qustrings go through the bit-vector path: on the tableau
-        // backend they can be wider than 64 qubits.
-        if q.kind == QKind::Qustring {
-            let bits = h.measure_bits(&q.qubits)?;
-            return Ok(Value::Str(
-                bits.iter().map(|&b| if b { '1' } else { '0' }).collect(),
-            ));
-        }
-        let raw = h.measure(&q.qubits)?;
-        Ok(if q.kind == QKind::Qubit {
-            Value::Bool(raw != 0)
-        } else {
-            Value::Int(raw as i64)
-        })
+    /// quint → int, qustring → string. Collapses the live state; a
+    /// domain that cannot know the outcome yields a [`Value::Unknown`].
+    pub fn measure_to_classical(h: &mut impl Domain, q: &QuantumRef) -> QutesResult<Value> {
+        // Qustrings keep every bit: on the tableau backend they can be
+        // wider than 64 qubits.
+        Ok(measured_value(q.kind, h.measure_bits(&q.qubits)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handler::QuantumCircuitHandler;
 
     fn handler() -> QuantumCircuitHandler {
         QuantumCircuitHandler::new(99)

@@ -14,7 +14,9 @@
 //!   programs can run on the stabilizer tableau instead, lifting the
 //!   qubit ceiling from ~28 to thousands (see `docs/backends.md`).
 
+use crate::domain::Domain;
 use crate::error::{QutesError, QutesResult};
+use crate::value::Value;
 use qutes_qcirc::backend::{instantiate, Backend, BackendKind};
 use qutes_qcirc::{CircError, Gate, QuantumCircuit};
 use qutes_sim::{NoiseModel, StateVector};
@@ -100,169 +102,9 @@ impl QuantumCircuitHandler {
         self.backend.set_interrupt(intr);
     }
 
-    /// Acquires `n` clean (`|0>`) work qubits, reusing previously released
-    /// ancillas before growing the circuit. The returned indices are not
-    /// contiguous in general.
-    pub fn acquire_ancillas(&mut self, n: usize, name: &str) -> QutesResult<Vec<usize>> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match self.free_ancillas.pop() {
-                Some(q) => out.push(q),
-                None => break,
-            }
-        }
-        let missing = n - out.len();
-        if missing > 0 {
-            self.check_capacity(missing, name)?;
-            out.extend(self.allocate(name, missing)?);
-        }
-        Ok(out)
-    }
-
-    /// Returns work qubits to the pool. The caller must have uncomputed
-    /// them back to `|0>`; qubits that are measurably dirty are *not*
-    /// pooled (silently leaked — safe, just unrecoverable capacity).
-    pub fn release_ancillas(&mut self, qubits: &[usize]) {
-        for &q in qubits {
-            let clean = self
-                .backend
-                .probability_one(q)
-                .map(|p| p < 1e-9)
-                .unwrap_or(false);
-            if clean {
-                self.free_ancillas.push(q);
-            }
-        }
-    }
-
     /// Number of pooled (clean, reusable) ancilla qubits.
     pub fn pooled_ancillas(&self) -> usize {
         self.free_ancillas.len()
-    }
-
-    /// Allocates a fresh quantum register (circuit and live state grow
-    /// together). Returns the global qubit indices.
-    pub fn allocate(&mut self, name: &str, width: usize) -> QutesResult<Vec<usize>> {
-        self.check_capacity(width, name)?;
-        let reg = self.circuit.add_qreg(name, width);
-        self.backend.grow(width)?;
-        Ok(reg.qubits())
-    }
-
-    /// Appends a unitary gate to the circuit and applies it to the live
-    /// state (with trajectory noise when a fault model is active).
-    pub fn apply(&mut self, gate: Gate) -> QutesResult<()> {
-        self.circuit.append(gate.clone())?;
-        // Keep the live classical bits in step with the circuit: a gate
-        // referencing a creg added since the last measure would otherwise
-        // index past the end.
-        self.clbits.resize(self.circuit.num_clbits(), false);
-        // Inline simulation happens gate-by-gate during interpretation, so
-        // it is aggregated into the `stage.simulate` timer rather than
-        // opening one span per gate.
-        let t0 = qutes_obs::maybe_now();
-        self.backend
-            .apply(&gate, &mut self.clbits, &mut self.rng, self.noise.as_ref())?;
-        if let Some(t0) = t0 {
-            qutes_obs::record_duration("stage.simulate", t0.elapsed());
-        }
-        Ok(())
-    }
-
-    /// Appends every instruction of a pre-built circuit fragment. The
-    /// fragment must address this handler's global qubit indices and have
-    /// no classical bits.
-    pub fn apply_fragment(&mut self, fragment: &QuantumCircuit) -> QutesResult<()> {
-        for g in fragment.ops() {
-            self.apply(g.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Measures `qubits` (low bit first), collapsing the live state and
-    /// logging `measure` instructions into fresh classical bits. Returns
-    /// the observed value. On the tableau backend registers can exceed 64
-    /// qubits; bits past the 64th still collapse and are logged, but only
-    /// the low 64 fit in the returned integer — use
-    /// [`Self::measure_bits`] for wide registers.
-    pub fn measure(&mut self, qubits: &[usize]) -> QutesResult<u64> {
-        let bits = self.measure_bits(qubits)?;
-        let mut result = 0u64;
-        for (k, &b) in bits.iter().enumerate().take(64) {
-            if b {
-                result |= 1u64 << k;
-            }
-        }
-        Ok(result)
-    }
-
-    /// Measures `qubits` (index `k` of the result = outcome of
-    /// `qubits[k]`), collapsing the live state and logging `measure`
-    /// instructions into fresh classical bits. Unlike [`Self::measure`]
-    /// this has no 64-bit width ceiling, so it is the right call for
-    /// qustrings on the tableau backend (hundreds of qubits).
-    pub fn measure_bits(&mut self, qubits: &[usize]) -> QutesResult<Vec<bool>> {
-        let creg = self
-            .circuit
-            .add_creg(format!("m{}", self.measurements), qubits.len());
-        self.measurements += 1;
-        self.clbits.resize(self.circuit.num_clbits(), false);
-        let mut bits = Vec::with_capacity(qubits.len());
-        for (k, &q) in qubits.iter().enumerate() {
-            let gate = Gate::Measure {
-                qubit: q,
-                clbit: creg.bit(k),
-            };
-            self.circuit.append(gate.clone())?;
-            // Readout error (when modelled) is applied inside: the live
-            // state collapses to the true outcome, the classical bit may
-            // report the flipped one — exactly a readout fault.
-            let t0 = qutes_obs::maybe_now();
-            self.backend
-                .apply(&gate, &mut self.clbits, &mut self.rng, self.noise.as_ref())?;
-            if let Some(t0) = t0 {
-                qutes_obs::record_duration("stage.simulate", t0.elapsed());
-            }
-            bits.push(self.clbits[creg.bit(k)]);
-        }
-        Ok(bits)
-    }
-
-    /// Non-collapsing sampling of `qubits` over `shots` — used by the
-    /// CLI's histogram output. A modelled readout error corrupts each
-    /// sampled bit independently per shot.
-    pub fn sample(&mut self, qubits: &[usize], shots: usize) -> QutesResult<Vec<(u64, usize)>> {
-        let counts = self.backend.sample(qubits, shots, &mut self.rng)?;
-        let readout = self
-            .noise
-            .as_ref()
-            .map(|nm| nm.readout_error)
-            .unwrap_or(0.0);
-        let mut agg: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for (k, c) in counts {
-            if readout > 0.0 {
-                for _ in 0..c {
-                    let mut noisy = k as u64;
-                    for bit in 0..qubits.len() {
-                        if self.rng.random::<f64>() < readout {
-                            noisy ^= 1 << bit;
-                        }
-                    }
-                    *agg.entry(noisy).or_insert(0) += 1;
-                }
-            } else {
-                *agg.entry(k as u64).or_insert(0) += c;
-            }
-        }
-        let mut v: Vec<(u64, usize)> = agg.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        Ok(v)
-    }
-
-    /// Appends a barrier over the whole circuit.
-    pub fn barrier(&mut self) -> QutesResult<()> {
-        self.circuit.append(Gate::Barrier(vec![]))?;
-        Ok(())
     }
 
     /// The accumulated circuit.
@@ -301,16 +143,28 @@ impl QuantumCircuitHandler {
         &mut self.rng
     }
 
-    /// Total qubits allocated so far.
-    pub fn num_qubits(&self) -> usize {
-        self.circuit.num_qubits()
-    }
-
     /// Total collapsing measurements performed.
     pub fn measurements(&self) -> usize {
         self.measurements
     }
 
+    /// Bumps the capacity-refusal counters, tagged with the backend that
+    /// was attempted.
+    fn record_refusal(&self, kind: BackendKind) {
+        qutes_obs::counter_add("handler.capacity_refusals", 1);
+        qutes_obs::counter_add(
+            match kind {
+                BackendKind::Statevector => "backend.refused.statevector",
+                BackendKind::Tableau => "backend.refused.tableau",
+            },
+            1,
+        );
+    }
+}
+
+/// The concrete domain: every effect hits the live backend, and random
+/// choices draw from the run's seeded RNG.
+impl Domain for QuantumCircuitHandler {
     /// Guard: errors when allocating `extra` more qubits would exceed
     /// the live backend's capacity or the configured memory budget. Runs
     /// **before** any allocation, and the refusal is a typed error
@@ -323,7 +177,7 @@ impl QuantumCircuitHandler {
     ///
     /// [`SimError::TooManyQubits`]: qutes_sim::SimError::TooManyQubits
     /// [`CircError::ResourceLimit`]: qutes_qcirc::CircError::ResourceLimit
-    pub fn check_capacity(&self, extra: usize, _what: &str) -> QutesResult<()> {
+    fn check_capacity(&self, extra: usize, _what: &str) -> QutesResult<()> {
         let total = self.num_qubits() + extra;
         let kind = self.backend.kind();
         if total > kind.max_qubits() {
@@ -345,23 +199,136 @@ impl QuantumCircuitHandler {
         Ok(())
     }
 
-    /// Bumps the capacity-refusal counters, tagged with the backend that
-    /// was attempted.
-    fn record_refusal(&self, kind: BackendKind) {
-        qutes_obs::counter_add("handler.capacity_refusals", 1);
-        qutes_obs::counter_add(
-            match kind {
-                BackendKind::Statevector => "backend.refused.statevector",
-                BackendKind::Tableau => "backend.refused.tableau",
-            },
-            1,
-        );
+    /// Allocates a fresh quantum register (circuit and live state grow
+    /// together). Returns the global qubit indices.
+    fn allocate(&mut self, name: &str, width: usize) -> QutesResult<Vec<usize>> {
+        self.check_capacity(width, name)?;
+        let reg = self.circuit.add_qreg(name, width);
+        self.backend.grow(width)?;
+        Ok(reg.qubits())
+    }
+
+    /// Appends a unitary gate to the circuit and applies it to the live
+    /// state (with trajectory noise when a fault model is active).
+    fn apply(&mut self, gate: Gate) -> QutesResult<()> {
+        self.circuit.append(gate.clone())?;
+        // Keep the live classical bits in step with the circuit: a gate
+        // referencing a creg added since the last measure would otherwise
+        // index past the end.
+        self.clbits.resize(self.circuit.num_clbits(), false);
+        // Inline simulation happens gate-by-gate during interpretation, so
+        // it is aggregated into the `stage.simulate` timer rather than
+        // opening one span per gate.
+        let t0 = qutes_obs::maybe_now();
+        self.backend
+            .apply(&gate, &mut self.clbits, &mut self.rng, self.noise.as_ref())?;
+        if let Some(t0) = t0 {
+            qutes_obs::record_duration("stage.simulate", t0.elapsed());
+        }
+        Ok(())
+    }
+
+    /// Acquires `n` clean (`|0>`) work qubits, reusing previously released
+    /// ancillas before growing the circuit. The returned indices are not
+    /// contiguous in general.
+    fn acquire_ancillas(&mut self, n: usize, name: &str) -> QutesResult<Vec<usize>> {
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            match self.free_ancillas.pop() {
+                Some(q) => out.push(q),
+                None => break,
+            }
+        }
+        let missing = n - out.len();
+        if missing > 0 {
+            self.check_capacity(missing, name)?;
+            out.extend(self.allocate(name, missing)?);
+        }
+        Ok(out)
+    }
+
+    /// Returns work qubits to the pool. The caller must have uncomputed
+    /// them back to `|0>`; qubits that are measurably dirty are *not*
+    /// pooled (silently leaked — safe, just unrecoverable capacity).
+    fn release_ancillas(&mut self, qubits: &[usize]) {
+        for &q in qubits {
+            let clean = self
+                .backend
+                .probability_one(q)
+                .map(|p| p < 1e-9)
+                .unwrap_or(false);
+            if clean {
+                self.free_ancillas.push(q);
+            }
+        }
+    }
+
+    /// Measures `qubits` (index `k` of the result = outcome of
+    /// `qubits[k]`), collapsing the live state and logging `measure`
+    /// instructions into fresh classical bits. There is no 64-bit width
+    /// ceiling: qustrings on the tableau backend can be hundreds of
+    /// qubits wide.
+    fn measure_bits(&mut self, qubits: &[usize]) -> QutesResult<Option<Vec<bool>>> {
+        let creg = self
+            .circuit
+            .add_creg(format!("m{}", self.measurements), qubits.len());
+        self.measurements += 1;
+        self.clbits.resize(self.circuit.num_clbits(), false);
+        let mut bits = Vec::with_capacity(qubits.len());
+        for (k, &q) in qubits.iter().enumerate() {
+            let gate = Gate::Measure {
+                qubit: q,
+                clbit: creg.bit(k),
+            };
+            self.circuit.append(gate.clone())?;
+            // Readout error (when modelled) is applied inside: the live
+            // state collapses to the true outcome, the classical bit may
+            // report the flipped one — exactly a readout fault.
+            let t0 = qutes_obs::maybe_now();
+            self.backend
+                .apply(&gate, &mut self.clbits, &mut self.rng, self.noise.as_ref())?;
+            if let Some(t0) = t0 {
+                qutes_obs::record_duration("stage.simulate", t0.elapsed());
+            }
+            bits.push(self.clbits[creg.bit(k)]);
+        }
+        Ok(Some(bits))
+    }
+
+    /// Appends a barrier over the whole circuit.
+    fn barrier(&mut self) -> QutesResult<()> {
+        self.circuit.append(Gate::Barrier(vec![]))?;
+        Ok(())
+    }
+
+    /// Total qubits allocated so far.
+    fn num_qubits(&self) -> usize {
+        self.circuit.num_qubits()
+    }
+
+    fn bbht_iterations(&mut self, bound: usize) -> usize {
+        self.rng.random_range(0..bound + 1)
+    }
+
+    fn extremum(&mut self, values: &[u64], maximum: bool) -> QutesResult<Value> {
+        let res = if maximum {
+            qutes_algos::minmax::quantum_maximum(values, &mut self.rng)
+        } else {
+            qutes_algos::minmax::quantum_minimum(values, &mut self.rng)
+        }
+        .map_err(QutesError::Circuit)?;
+        Ok(Value::Int(res.value as i64))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::pack_bits;
+
+    fn measure(h: &mut QuantumCircuitHandler, qubits: &[usize]) -> u64 {
+        pack_bits(&h.measure_bits(qubits).unwrap().unwrap())
+    }
 
     #[test]
     fn allocation_grows_circuit_and_state() {
@@ -407,10 +374,10 @@ mod tests {
             target: q[1],
         })
         .unwrap();
-        let v = h.measure(&q).unwrap();
+        let v = measure(&mut h, &q);
         assert!(v == 0b00 || v == 0b11, "Bell measurement gave {v:02b}");
         // Re-measuring returns the same (collapsed) value.
-        let v2 = h.measure(&q).unwrap();
+        let v2 = measure(&mut h, &q);
         assert_eq!(v, v2);
         assert_eq!(h.measurements(), 2);
         assert_eq!(h.circuit().num_clbits(), 4);
@@ -424,22 +391,9 @@ mod tests {
             for &x in &q {
                 h.apply(Gate::H(x)).unwrap();
             }
-            h.measure(&q).unwrap()
+            measure(&mut h, &q)
         };
         assert_eq!(run(42), run(42));
-    }
-
-    #[test]
-    fn sample_does_not_collapse() {
-        let mut h = QuantumCircuitHandler::new(3);
-        let q = h.allocate("q", 1).unwrap();
-        h.apply(Gate::H(q[0])).unwrap();
-        let hist = h.sample(&q, 500).unwrap();
-        let total: usize = hist.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 500);
-        assert_eq!(hist.len(), 2, "both outcomes present: {hist:?}");
-        // State still in superposition after sampling.
-        assert!((h.probability_one(q[0]).unwrap() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -504,14 +458,14 @@ mod tests {
             })
             .unwrap();
         }
-        let v = h.measure(&[q[0]]).unwrap();
+        let v = measure(&mut h, &[q[0]]);
         // GHZ: every qubit agrees with the first after collapse.
         for &qb in &q {
             let p = h.probability_one(qb).unwrap();
             assert!((p - v as f64).abs() < 1e-12, "qubit {qb}: p1={p}, v={v}");
         }
         // Re-measuring the full register reproduces the collapsed value.
-        let v2 = h.measure(&[q[0], q[99]]).unwrap();
+        let v2 = measure(&mut h, &[q[0], q[99]]);
         assert_eq!(v2, v | (v << 1));
     }
 

@@ -29,6 +29,7 @@
 //! ```
 
 pub mod casting;
+pub mod domain;
 pub mod error;
 pub mod handler;
 pub mod lint;
@@ -38,11 +39,12 @@ pub mod types;
 pub mod value;
 
 pub use casting::TypeCastingHandler;
+pub use domain::{Domain, Merge, Slack};
 pub use error::{QutesError, QutesResult};
 pub use handler::QuantumCircuitHandler;
 pub use lint::LintOptions;
 pub use qutes_supervisor::{Interrupt, StopReason};
-pub use runtime::{run_program, run_source, DegradePolicy, RunConfig, RunOutcome};
+pub use runtime::{interpret, run_program, run_source, DegradePolicy, RunConfig, RunOutcome};
 pub use symbols::{FunctionTable, Symbol, SymbolTable};
 pub use types::{assignable, check_program, measured};
-pub use value::{QKind, QuantumRef, Value};
+pub use value::{QKind, QuantumRef, Unknown, Value};

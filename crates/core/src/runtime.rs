@@ -1,16 +1,25 @@
 //! The Qutes interpreter: executes the AST, running classical operations
-//! natively and lowering quantum operations into the
-//! [`QuantumCircuitHandler`] (the paper's two-pass design, §3 — a symbol/
-//! declaration pass, then an operation pass that "translates quantum
-//! operations into corresponding quantum circuit instructions, while
-//! non-quantum operations are executed directly").
+//! natively and lowering quantum operations into an effect [`Domain`]
+//! (the paper's two-pass design, §3 — a symbol/declaration pass, then an
+//! operation pass that "translates quantum operations into corresponding
+//! quantum circuit instructions, while non-quantum operations are
+//! executed directly").
+//!
+//! The same interpreter runs in two domains. A run uses the live
+//! [`QuantumCircuitHandler`]. The resource estimator in `qutes-analysis`
+//! uses a shadow circuit that never simulates: measurement outcomes are
+//! [`Value::Unknown`], so the interpreter also handles unknown values —
+//! it forks on undecided conditions, walks loops of unknown length once,
+//! and reports imprecision to the domain. A run never produces an
+//! unknown, so those paths cost it nothing.
 
 use crate::casting::{bits_for, TypeCastingHandler as Cast};
+use crate::domain::{pack_bits, Domain, Merge, Slack};
 use crate::error::{QutesError, QutesResult};
 use crate::handler::QuantumCircuitHandler;
 use crate::symbols::{FunctionTable, SymbolTable};
 use crate::types;
-use crate::value::{cell, Cell, QKind, QuantumRef, Value};
+use crate::value::{cell, Cell, QKind, QuantumRef, Unknown, Value};
 use qutes_algos::{arithmetic, rotation, state_prep, substring_oracle};
 use qutes_frontend::ast::*;
 use qutes_frontend::{parse_with_interrupt, ParseFailure, Span};
@@ -55,8 +64,6 @@ pub struct RunConfig {
     /// each Qutes frame costs native stack, so this errors cleanly long
     /// before the process would overflow).
     pub max_call_depth: usize,
-    /// Skip the static type check (used by tests probing runtime guards).
-    pub skip_typecheck: bool,
     /// Optional fault model applied to every gate and measurement as the
     /// interpreter plays them onto the live state, and to the `shots`
     /// histogram re-execution.
@@ -78,9 +85,9 @@ pub struct RunConfig {
     /// a disabled collector costs one atomic load per recording site.
     pub observe: bool,
     /// Static-analysis (lint) configuration. `qutes-core` itself never
-    /// runs the analyzer — the `qutes` facade and the CLI consult this
-    /// to run `qutes-analysis` before execution and refuse to execute
-    /// programs with deny-level findings. Disabled by default.
+    /// runs the analyzer — the `qutes` facade consults this to run
+    /// `qutes-analysis` before execution and refuse to execute programs
+    /// with deny-level findings. Disabled by default.
     pub lint: crate::lint::LintOptions,
     /// Wall-clock budget for the whole run (parse through shot replay).
     /// When it expires, cooperative checkpoints return
@@ -111,9 +118,9 @@ pub struct RunConfig {
     /// Statically verify every optimizer rewrite of the accumulated
     /// circuit after the run (translation validation, see
     /// `docs/verification.md`). `qutes-core` itself never verifies —
-    /// the `qutes` facade and CLI consult this flag, refuse on a proven
-    /// `Inequivalent` and warn on `Unknown`. Off by default; costs
-    /// nothing when off.
+    /// the `qutes` facade consults this flag and refuses on a proven
+    /// `Inequivalent` (the CLI also warns on `Unknown`). Off by default;
+    /// costs nothing when off.
     pub verify: bool,
 }
 
@@ -123,7 +130,6 @@ impl Default for RunConfig {
             seed: 0,
             max_steps: 1_000_000,
             max_call_depth: 100,
-            skip_typecheck: false,
             noise: None,
             shots: 0,
             memory_budget_bytes: None,
@@ -192,7 +198,7 @@ pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
         Err(ParseFailure::Diagnostics(ds)) => return Err(QutesError::Compile(ds)),
         Err(ParseFailure::Interrupted(reason)) => return Err(QutesError::Interrupted(reason)),
     };
-    if !config.skip_typecheck {
+    {
         let _span = qutes_obs::span("stage.typecheck");
         intr.check()?;
         let diags = types::check_program(&program);
@@ -203,7 +209,7 @@ pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
     run_supervised(&program, config, &intr)
 }
 
-/// Runs an already-parsed program.
+/// Runs an already-parsed program, without type-checking it.
 pub fn run_program(program: &Program, config: &RunConfig) -> QutesResult<RunOutcome> {
     let intr = config.effective_interrupt();
     run_supervised(program, config, &intr)
@@ -247,15 +253,7 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
     // Pass 1 (declaration pass): collect functions.
     let functions = {
         let _span = qutes_obs::span("stage.decl_pass");
-        let decls: Vec<&FunctionDecl> = program
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Function(f) => Some(f),
-                _ => None,
-            })
-            .collect();
-        FunctionTable::build(&decls).map_err(QutesError::Compile)?
+        FunctionTable::of_program(program).map_err(QutesError::Compile)?
     };
 
     // Reject malformed noise probabilities before anything executes.
@@ -266,41 +264,23 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
     }
 
     // Pass 2 (operation pass): execute.
-    let mut interp = Interp {
-        symbols: SymbolTable::new(),
-        functions,
-        handler: QuantumCircuitHandler::with_backend_kind(
-            config.seed,
-            config.noise.clone(),
-            config.memory_budget_bytes,
-            // No estimator at this layer: `Auto` means the always-sound
-            // dense engine unless the caller resolved it already.
-            match config.backend {
-                qutes_qcirc::BackendChoice::Tableau => qutes_qcirc::BackendKind::Tableau,
-                _ => qutes_qcirc::BackendKind::Statevector,
-            },
-        )?,
-        output: Vec::new(),
-        steps: 0,
-        max_steps: config.max_steps,
-        call_depth: 0,
-        max_call_depth: config.max_call_depth,
-        anon_counter: 0,
-        interrupt: intr.clone(),
-        interrupt_ck: 0,
-    };
-    interp.handler.set_interrupt(intr.clone());
-    {
+    let mut handler = QuantumCircuitHandler::with_backend_kind(
+        config.seed,
+        config.noise.clone(),
+        config.memory_budget_bytes,
+        // No estimator at this layer: `Auto` means the always-sound
+        // dense engine unless the caller resolved it already.
+        match config.backend {
+            qutes_qcirc::BackendChoice::Tableau => qutes_qcirc::BackendKind::Tableau,
+            _ => qutes_qcirc::BackendKind::Statevector,
+        },
+    )?;
+    handler.set_interrupt(intr.clone());
+    let output = {
         let _span = qutes_obs::span("stage.op_pass");
-        for item in &program.items {
-            if let Item::Statement(s) = item {
-                if let Flow::Return(_) = interp.exec_stmt(s)? {
-                    break;
-                }
-            }
-        }
-    }
-    let circuit = interp.handler.circuit().clone();
+        interpret(program, functions, &mut handler, config, intr)?
+    };
+    let circuit = handler.circuit().clone();
 
     // Optional post-run histogram: replay the accumulated circuit under
     // the same seed/noise/budget configuration. The replay observes the
@@ -336,9 +316,9 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
     };
 
     Ok(RunOutcome {
-        output: interp.output,
-        measurements: interp.handler.measurements(),
-        qubits_used: interp.handler.num_qubits(),
+        output,
+        measurements: handler.measurements(),
+        qubits_used: handler.num_qubits(),
         circuit,
         counts,
         degraded,
@@ -346,15 +326,57 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
     })
 }
 
+/// Runs the operation pass of `program` over `domain` and returns the
+/// lines its `print` statements produced. `config` supplies the step and
+/// call-depth budgets; `interrupt` is checked as statements execute.
+///
+/// A run calls this with the live [`QuantumCircuitHandler`]; the
+/// resource estimator calls it with its shadow circuit. An error means
+/// the program would fail at this point (for the estimator: it gives up).
+pub fn interpret<D: Domain>(
+    program: &Program,
+    functions: FunctionTable<'_>,
+    domain: &mut D,
+    config: &RunConfig,
+    interrupt: &Interrupt,
+) -> QutesResult<Vec<String>> {
+    let mut interp = Interp {
+        symbols: SymbolTable::new(),
+        functions,
+        dom: domain,
+        output: Vec::new(),
+        steps: 0,
+        max_steps: config.max_steps,
+        call_depth: 0,
+        max_call_depth: config.max_call_depth,
+        anon_counter: 0,
+        interrupt: interrupt.clone(),
+        interrupt_ck: 0,
+    };
+    for item in &program.items {
+        if let Item::Statement(s) = item {
+            if let Flow::Return(_) = interp.exec_stmt(s)? {
+                break;
+            }
+        }
+    }
+    Ok(interp.output)
+}
+
 enum Flow {
     Normal,
     Return(Value),
 }
 
-struct Interp {
+/// A value of unknown type.
+const LOST: Value = Value::Unknown(Unknown::Any);
+const LOST_REGISTER: &str = "gate applied to a register the estimator lost track of";
+const UNKNOWN_SHIFT: &str = "cyclic shift by a run-dependent amount: rotation network unknown";
+
+struct Interp<'a, 'p, D> {
     symbols: SymbolTable,
-    functions: FunctionTable,
-    handler: QuantumCircuitHandler,
+    functions: FunctionTable<'p>,
+    dom: &'a mut D,
     output: Vec<String>,
     steps: u64,
     max_steps: u64,
@@ -365,7 +387,7 @@ struct Interp {
     interrupt_ck: u64,
 }
 
-impl Interp {
+impl<D: Domain> Interp<'_, '_, D> {
     fn step(&mut self, span: Span) -> QutesResult<()> {
         self.steps += 1;
         if self.steps > self.max_steps {
@@ -388,6 +410,94 @@ impl Interp {
     fn fresh_name(&mut self, base: &str) -> String {
         self.anon_counter += 1;
         format!("{base}_{}", self.anon_counter)
+    }
+
+    fn note(&mut self, note: &str) {
+        self.dom.imprecise(note, Slack::default());
+    }
+
+    fn measure(&mut self, q: &QuantumRef) -> QutesResult<Value> {
+        Cast::measure_to_classical(self.dom, q)
+    }
+
+    /// Measures `v` when it is quantum (auto-measurement).
+    fn classical(&mut self, v: Value) -> QutesResult<Value> {
+        match v {
+            Value::Quantum(q) => self.measure(&q),
+            v => Ok(v),
+        }
+    }
+
+    // ---- undecided control flow (abstract domain only) ---------------------
+
+    /// Runs both sides of a condition the domain cannot decide, each on
+    /// its own copy of the state, and joins them. Variables are restored
+    /// in place between the two sides, so every cell keeps its identity
+    /// (loop and reference bindings stay valid). When the worlds differ,
+    /// the domain keeps the larger one and every visible classical value
+    /// becomes unknown.
+    fn fork(
+        &mut self,
+        first: impl FnOnce(&mut Self) -> QutesResult<Flow>,
+        second: impl FnOnce(&mut Self) -> QutesResult<Flow>,
+    ) -> QutesResult<Flow> {
+        let cells = self.symbols.reachable_cells();
+        let snapshot =
+            |cells: &[Cell]| -> Vec<Value> { cells.iter().map(|c| c.borrow().clone()).collect() };
+        let before = snapshot(&cells);
+        let steps = self.steps;
+        let second_world = self.dom.split()?;
+        let first_flow = first(self)?;
+        let after_first = snapshot(&cells);
+        let first_world = std::mem::replace(&mut *self.dom, second_world);
+        let first_steps = std::mem::replace(&mut self.steps, steps);
+        for (c, v) in cells.iter().zip(before) {
+            *c.borrow_mut() = v;
+        }
+        let second_flow = second(self)?;
+        self.steps = self.steps.max(first_steps);
+        let envs_agree = cells
+            .iter()
+            .zip(&after_first)
+            .all(|(c, v)| same_value(&c.borrow(), v));
+        let merge = self.dom.join(first_world, envs_agree);
+        if merge == Merge::KeptOther {
+            for (c, v) in cells.iter().zip(after_first) {
+                *c.borrow_mut() = v;
+            }
+        }
+        if merge != Merge::Identical {
+            // Quantum registers keep their identity (the qubits exist
+            // either way); classical values diverge.
+            for c in self.symbols.visible_cells() {
+                let mut v = c.borrow_mut();
+                if !v.is_quantum() {
+                    *v = LOST;
+                }
+            }
+        }
+        Ok(match (first_flow, second_flow) {
+            (Flow::Return(a), Flow::Return(b)) => {
+                Flow::Return(if same_value(&a, &b) { a } else { LOST })
+            }
+            (Flow::Normal, Flow::Normal) => Flow::Normal,
+            (Flow::Return(v), Flow::Normal) | (Flow::Normal, Flow::Return(v)) => {
+                if merge == Merge::Identical {
+                    self.note("a measurement-dependent branch may return early");
+                }
+                Flow::Return(v)
+            }
+        })
+    }
+
+    /// Forgets every variable `stmts` may write (after a loop whose trip
+    /// count is unknown).
+    fn havoc_assigned(&mut self, stmts: &[Stmt]) {
+        for name in assigned_names(stmts) {
+            if let Some(c) = self.symbols.cell(&name) {
+                *c.borrow_mut() = LOST;
+            }
+        }
     }
 
     // ---- statements ------------------------------------------------------
@@ -443,65 +553,14 @@ impl Interp {
                 then_block,
                 else_block,
                 ..
-            } => {
-                if self.eval_condition(cond)? {
-                    self.exec_block(then_block)
-                } else if let Some(eb) = else_block {
-                    self.exec_block(eb)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            Stmt::While { cond, body, span } => {
-                while self.eval_condition(cond)? {
-                    self.step(*span)?;
-                    if let Flow::Return(v) = self.exec_block(body)? {
-                        return Ok(Flow::Return(v));
-                    }
-                }
-                Ok(Flow::Normal)
-            }
+            } => self.exec_if(cond, then_block, else_block.as_ref()),
+            Stmt::While { cond, body, span } => self.exec_while(cond, body, *span),
             Stmt::Foreach {
                 var,
                 iterable,
                 body,
                 span,
-            } => {
-                let it = self.eval(iterable)?;
-                let items: Vec<Cell> = match it {
-                    Value::Array(items) => items.borrow().clone(),
-                    Value::Quantum(q) if q.kind == QKind::Qustring => q
-                        .qubits
-                        .iter()
-                        .map(|&qb| {
-                            cell(Value::Quantum(QuantumRef {
-                                qubits: vec![qb],
-                                kind: QKind::Qubit,
-                            }))
-                        })
-                        .collect(),
-                    other => {
-                        return Err(QutesError::runtime(
-                            format!("cannot iterate over {}", other.type_name()),
-                            iterable.span,
-                        ))
-                    }
-                };
-                for item in items {
-                    self.step(*span)?;
-                    self.symbols.push_scope();
-                    // Bind by reference: the loop variable aliases the
-                    // element cell (mutations persist, paper §4).
-                    let ty = runtime_type(&item.borrow());
-                    self.symbols.bind(var, ty, Rc::clone(&item), *span);
-                    let flow = self.exec_stmts(&body.stmts);
-                    self.symbols.pop_scope();
-                    if let Flow::Return(v) = flow? {
-                        return Ok(Flow::Return(v));
-                    }
-                }
-                Ok(Flow::Normal)
-            }
+            } => self.exec_foreach(var, iterable, body, *span),
             Stmt::Return { value, .. } => {
                 let v = match value {
                     Some(e) => self.eval(e)?,
@@ -509,20 +568,13 @@ impl Interp {
                 };
                 Ok(Flow::Return(v))
             }
-            Stmt::Print { value, span } => {
+            Stmt::Print { value, .. } => {
+                // Printing a quantum variable measures it (paper §5: "the
+                // evaluation of a quantum variable — whether for verifying
+                // its value or for printing — requires a measurement
+                // operation").
                 let v = self.eval(value)?;
-                let line = match v {
-                    Value::Quantum(q) => {
-                        // Printing a quantum variable measures it (paper
-                        // §5: "the evaluation of a quantum variable —
-                        // whether for verifying its value or for printing
-                        // — requires a measurement operation").
-                        let measured = Cast::measure_to_classical(&mut self.handler, &q)?;
-                        measured.to_string()
-                    }
-                    other => other.to_string(),
-                };
-                let _ = span;
+                let line = self.classical(v)?.to_string();
                 self.output.push(line);
                 Ok(Flow::Normal)
             }
@@ -536,25 +588,136 @@ impl Interp {
             }
             Stmt::Measure { target, .. } => {
                 let v = self.eval(target)?;
-                match v {
-                    Value::Quantum(q) => {
-                        self.handler.measure(&q.qubits)?;
-                        Ok(Flow::Normal)
-                    }
-                    other => Err(QutesError::runtime(
-                        format!(
-                            "measure expects a quantum value, found {}",
-                            other.type_name()
-                        ),
-                        target.span,
-                    )),
-                }
+                self.measure_value(v, target.span)?;
+                Ok(Flow::Normal)
             }
             Stmt::Barrier { .. } => {
-                self.handler.barrier()?;
+                self.dom.barrier()?;
                 Ok(Flow::Normal)
             }
             Stmt::Block(b) => self.exec_block(b),
+        }
+    }
+
+    fn exec_if(
+        &mut self,
+        cond: &Expr,
+        then_block: &Block,
+        else_block: Option<&Block>,
+    ) -> QutesResult<Flow> {
+        let exec_else = |i: &mut Self| match else_block {
+            Some(eb) => i.exec_block(eb),
+            None => Ok(Flow::Normal),
+        };
+        match self.eval_condition(cond)? {
+            Some(true) => self.exec_block(then_block),
+            Some(false) => exec_else(self),
+            None => self.fork(|i| i.exec_block(then_block), exec_else),
+        }
+    }
+
+    fn exec_while(&mut self, cond: &Expr, body: &Block, span: Span) -> QutesResult<Flow> {
+        loop {
+            match self.eval_condition(cond)? {
+                Some(false) => return Ok(Flow::Normal),
+                Some(true) => {
+                    self.step(span)?;
+                    if let Flow::Return(v) = self.exec_block(body)? {
+                        return Ok(Flow::Return(v));
+                    }
+                }
+                None => {
+                    // The trip count is not statically known: walk the
+                    // body once (for declarations/uses), then forget
+                    // everything it might have changed.
+                    self.note(
+                        "while loop with a run-dependent condition: iteration count \
+                         (and any gates its body emits) cannot be bounded statically",
+                    );
+                    let flow = self.exec_block(body)?;
+                    self.havoc_assigned(&body.stmts);
+                    return Ok(flow);
+                }
+            }
+        }
+    }
+
+    fn exec_foreach(
+        &mut self,
+        var: &str,
+        iterable: &Expr,
+        body: &Block,
+        span: Span,
+    ) -> QutesResult<Flow> {
+        let items: Vec<Cell> = match self.eval(iterable)? {
+            Value::Array(items) => items.borrow().clone(),
+            Value::Quantum(q) if q.kind == QKind::Qustring => q
+                .qubits
+                .iter()
+                .map(|&qb| {
+                    cell(Value::Quantum(QuantumRef {
+                        qubits: vec![qb],
+                        kind: QKind::Qubit,
+                    }))
+                })
+                .collect(),
+            Value::Unknown(_) => {
+                self.note(
+                    "foreach over a run-dependent collection: iteration count cannot \
+                     be bounded statically",
+                );
+                self.symbols.push_scope();
+                self.symbols.bind(var, Type::Int, cell(LOST), span);
+                let flow = self.exec_stmts(&body.stmts);
+                self.symbols.pop_scope();
+                self.havoc_assigned(&body.stmts);
+                return flow;
+            }
+            other => {
+                return Err(QutesError::runtime(
+                    format!("cannot iterate over {}", other.type_name()),
+                    iterable.span,
+                ))
+            }
+        };
+        for item in items {
+            self.step(span)?;
+            self.symbols.push_scope();
+            // Bind by reference: the loop variable aliases the element
+            // cell (mutations persist, paper §4).
+            let ty = runtime_type(&item.borrow());
+            self.symbols.bind(var, ty, Rc::clone(&item), span);
+            let flow = self.exec_stmts(&body.stmts);
+            self.symbols.pop_scope();
+            if let Flow::Return(v) = flow? {
+                return Ok(Flow::Return(v));
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    /// `measure` (statement or expression): collapses a quantum value
+    /// into its classical reading.
+    fn measure_value(&mut self, v: Value, span: Span) -> QutesResult<Value> {
+        match v {
+            Value::Quantum(q) => self.measure(&q),
+            Value::Unknown(_) => {
+                self.dom.imprecise(
+                    "measure of a value the estimator lost track of",
+                    Slack {
+                        measurements: 1,
+                        ..Slack::default()
+                    },
+                );
+                Ok(LOST)
+            }
+            other => Err(QutesError::runtime(
+                format!(
+                    "measure expects a quantum value, found {}",
+                    other.type_name()
+                ),
+                span,
+            )),
         }
     }
 
@@ -564,8 +727,8 @@ impl Interp {
             Type::Int => Value::Int(0),
             Type::Float => Value::Float(0.0),
             Type::String => Value::Str(String::new()),
-            Type::Qubit => Value::Quantum(Cast::new_qubit_basis(&mut self.handler, name, false)?),
-            Type::Quint => Value::Quantum(Cast::new_quint(&mut self.handler, name, 0, Some(1))?),
+            Type::Qubit => Value::Quantum(Cast::new_qubit_basis(self.dom, name, false)?),
+            Type::Quint => Value::Quantum(Cast::new_quint(self.dom, name, 0, Some(1))?),
             Type::Qustring => {
                 return Err(QutesError::runtime(
                     "qustring declarations need an initialiser (the width is the string length)",
@@ -596,12 +759,13 @@ impl Interp {
             return Ok(v);
         }
         match (ty, v) {
+            (ty, Value::Unknown(u)) => self.coerce_unknown(u, ty, name, span),
             (Type::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
             (Type::Qubit, v @ (Value::Bool(_) | Value::Int(_))) => Ok(Value::Quantum(
-                Cast::promote(&mut self.handler, name, &v, QKind::Qubit, span)?,
+                Cast::promote(self.dom, name, &v, QKind::Qubit, span)?,
             )),
             (Type::Quint, v @ (Value::Bool(_) | Value::Int(_))) => Ok(Value::Quantum(
-                Cast::promote(&mut self.handler, name, &v, QKind::Quint, span)?,
+                Cast::promote(self.dom, name, &v, QKind::Quint, span)?,
             )),
             (Type::Qubit, Value::Quantum(q)) if q.width() == 1 => {
                 // quint/qustring of width 1 reinterpreted as a qubit.
@@ -615,22 +779,20 @@ impl Interp {
                 kind: QKind::Quint,
             })),
             (Type::Qustring, Value::Str(s)) => Ok(Value::Quantum(Cast::new_qustring(
-                &mut self.handler,
-                name,
-                &s,
-                span,
+                self.dom, name, &s, span,
             )?)),
             (Type::Qustring, Value::Quantum(q)) => Ok(Value::Quantum(QuantumRef {
                 qubits: q.qubits,
                 kind: QKind::Qustring,
             })),
             (classical, Value::Quantum(q)) => {
-                let measured = Cast::measure_to_classical(&mut self.handler, &q)?;
+                let measured = self.measure(&q)?;
                 match (classical, measured) {
                     (Type::Bool, m @ Value::Bool(_))
                     | (Type::Int, m @ Value::Int(_))
                     | (Type::String, m @ Value::Str(_)) => Ok(m),
                     (Type::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
+                    (t, Value::Unknown(u)) => self.coerce_unknown(u, t, name, span),
                     (t, m) => Err(QutesError::runtime(
                         format!("cannot convert measured {} to {t}", m.type_name()),
                         span,
@@ -644,6 +806,66 @@ impl Interp {
         }
     }
 
+    /// [`Self::coerce`] for a value the domain cannot know. Promotion
+    /// still allocates its register, at the narrowest width.
+    fn coerce_unknown(
+        &mut self,
+        u: Unknown,
+        ty: &Type,
+        name: &str,
+        span: Span,
+    ) -> QutesResult<Value> {
+        match (ty, u) {
+            (_, Unknown::Any) => {
+                if ty.is_quantum() {
+                    self.dom.imprecise(
+                        "value promoted to a quantum register of run-dependent width",
+                        Slack {
+                            qubits: 1,
+                            ..Slack::default()
+                        },
+                    );
+                }
+                Ok(LOST)
+            }
+            (Type::Bool, Unknown::Bool)
+            | (Type::Int, Unknown::Int)
+            | (Type::Float, Unknown::Float)
+            | (Type::String, Unknown::Str) => Ok(Value::Unknown(u)),
+            (Type::Float, Unknown::Int) => Ok(Value::Unknown(Unknown::Float)),
+            (Type::Qubit, Unknown::Bool | Unknown::Int) => {
+                // The X gate is present only when the value is 1.
+                let q = Cast::new_qubit_basis(self.dom, name, false)?;
+                self.dom.imprecise(
+                    "qubit prepared from a run-dependent classical bit",
+                    Slack {
+                        gates: 1,
+                        depth: 1,
+                        ..Slack::default()
+                    },
+                );
+                Ok(Value::Quantum(q))
+            }
+            (Type::Quint, Unknown::Bool | Unknown::Int) => {
+                let q = Cast::new_quint(self.dom, name, 0, None)?;
+                self.note("quint promoted from a run-dependent integer: width unknown");
+                Ok(Value::Quantum(q))
+            }
+            (Type::Qustring, Unknown::Str) => {
+                let q = Cast::new_qustring(self.dom, name, "0", span)?;
+                self.note("qustring promoted from a run-dependent string: width unknown");
+                Ok(Value::Quantum(q))
+            }
+            (ty, u) => Err(QutesError::runtime(
+                format!(
+                    "cannot use a {} value as {ty}",
+                    Value::Unknown(u).type_name()
+                ),
+                span,
+            )),
+        }
+    }
+
     fn exec_assign(
         &mut self,
         target: &LValue,
@@ -651,24 +873,18 @@ impl Interp {
         value_expr: &Expr,
         span: Span,
     ) -> QutesResult<()> {
+        let undeclared = |name: &str| {
+            QutesError::runtime(format!("assignment to undeclared variable '{name}'"), span)
+        };
+        // `None`: an element at a run-dependent index of this array.
         let (target_cell, target_ty) = match target {
             LValue::Name(name) => {
-                let Some(sym) = self.symbols.lookup(name) else {
-                    return Err(QutesError::runtime(
-                        format!("assignment to undeclared variable '{name}'"),
-                        span,
-                    ));
-                };
-                (Rc::clone(&sym.value), sym.ty.clone())
+                let sym = self.symbols.lookup(name).ok_or_else(|| undeclared(name))?;
+                (Ok(Rc::clone(&sym.value)), sym.ty.clone())
             }
             LValue::Index(name, idx_expr) => {
                 let idx = self.eval_index(idx_expr)?;
-                let Some(sym) = self.symbols.lookup(name) else {
-                    return Err(QutesError::runtime(
-                        format!("assignment to undeclared variable '{name}'"),
-                        span,
-                    ));
-                };
+                let sym = self.symbols.lookup(name).ok_or_else(|| undeclared(name))?;
                 let elem_ty = match &sym.ty {
                     Type::Array(t) => (**t).clone(),
                     other => {
@@ -679,8 +895,8 @@ impl Interp {
                     }
                 };
                 let arr = sym.value.borrow().clone();
-                match arr {
-                    Value::Array(items) => {
+                match (arr, idx) {
+                    (Value::Array(items), Some(idx)) => {
                         let items_ref = items.borrow();
                         let Some(slot) = items_ref.get(idx) else {
                             return Err(QutesError::runtime(
@@ -691,9 +907,13 @@ impl Interp {
                                 span,
                             ));
                         };
-                        (Rc::clone(slot), elem_ty)
+                        (Ok(Rc::clone(slot)), elem_ty)
                     }
-                    other => {
+                    (arr @ (Value::Array(_) | Value::Unknown(_)), _) => {
+                        self.note("assignment through a run-dependent array index");
+                        (Err(arr), elem_ty)
+                    }
+                    (other, _) => {
                         return Err(QutesError::runtime(
                             format!("cannot index into {}", other.type_name()),
                             span,
@@ -702,89 +922,105 @@ impl Interp {
                 }
             }
         };
+        let current = |target: &Result<Cell, Value>| match target {
+            Ok(c) => c.borrow().clone(),
+            Err(_) => LOST,
+        };
 
-        match op {
+        let result = match op {
             AssignOp::Set => {
                 let name = match target {
                     LValue::Name(n) | LValue::Index(n, _) => n.clone(),
                 };
                 let v = self.eval_with_target(value_expr, Some(&target_ty))?;
-                let v = self.coerce(v, &target_ty, &name, value_expr.span)?;
-                *target_cell.borrow_mut() = v;
+                Some(self.coerce(v, &target_ty, &name, value_expr.span)?)
             }
             AssignOp::Add | AssignOp::Sub => {
-                let current = target_cell.borrow().clone();
+                let current = current(&target_cell);
+                let rhs = self.eval(value_expr)?;
                 match current {
                     Value::Quantum(q) if q.kind == QKind::Quint => {
-                        let rhs = self.eval(value_expr)?;
                         self.quint_add_sub_in_place(&q, rhs, op == AssignOp::Sub, span)?;
+                        None
                     }
                     classical => {
-                        let rhs = self.eval(value_expr)?;
                         let bin = if op == AssignOp::Add {
                             BinOp::Add
                         } else {
                             BinOp::Sub
                         };
-                        let result = self.classical_binary(bin, classical, rhs, span)?;
-                        *target_cell.borrow_mut() = result;
+                        Some(self.classical_binary(bin, classical, rhs, span)?)
                     }
                 }
             }
             AssignOp::Shl | AssignOp::Shr => {
-                let rhs = self.eval(value_expr)?;
-                let k = rhs.as_i64().ok_or_else(|| {
-                    QutesError::runtime("shift amount must be an integer", value_expr.span)
-                })?;
-                if k < 0 {
-                    return Err(QutesError::runtime(
-                        "shift amount must be >= 0",
-                        value_expr.span,
-                    ));
-                }
-                let current = target_cell.borrow().clone();
-                match current {
+                let k = self.eval_shift_amount(value_expr)?;
+                let left = op == AssignOp::Shl;
+                match current(&target_cell) {
+                    // Cyclic shift in constant depth (paper §5).
                     Value::Quantum(q) => {
-                        // Cyclic shift in constant depth (paper §5).
-                        self.rotate_in_place(&q, k as usize, op == AssignOp::Shl)?;
+                        match k {
+                            Some(k) => self.rotate_in_place(&q, k, left)?,
+                            None => self.note(UNKNOWN_SHIFT),
+                        }
+                        None
                     }
-                    Value::Int(i) => {
-                        let v = if op == AssignOp::Shl {
-                            i.wrapping_shl(k as u32)
-                        } else {
-                            i.wrapping_shr(k as u32)
-                        };
-                        *target_cell.borrow_mut() = Value::Int(v);
-                    }
-                    other => {
-                        return Err(QutesError::runtime(
-                            format!("cannot shift a {} value", other.type_name()),
-                            span,
-                        ))
+                    classical => {
+                        let bin = if left { BinOp::Shl } else { BinOp::Shr };
+                        let k = k.map_or(Value::Unknown(Unknown::Int), |k| Value::Int(k as i64));
+                        Some(self.classical_binary(bin, classical, k, span)?)
                     }
                 }
             }
+        };
+        match (result, target_cell) {
+            (Some(v), Ok(c)) => *c.borrow_mut() = v,
+            // Which element changed is unknown: forget them all.
+            (Some(_), Err(Value::Array(items))) => {
+                for c in items.borrow().iter() {
+                    *c.borrow_mut() = LOST;
+                }
+            }
+            _ => {}
         }
         Ok(())
     }
 
-    fn eval_index(&mut self, e: &Expr) -> QutesResult<usize> {
+    /// The amount of a shift: `None` when it is unknown.
+    fn eval_shift_amount(&mut self, e: &Expr) -> QutesResult<Option<usize>> {
         let v = self.eval(e)?;
-        let v = match v {
-            Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-            other => other,
-        };
-        v.as_i64()
-            .filter(|&i| i >= 0)
-            .map(|i| i as usize)
-            .ok_or_else(|| QutesError::runtime("index must be a non-negative integer", e.span))
+        if let Value::Unknown(_) = v {
+            return Ok(None);
+        }
+        let k = v
+            .as_i64()
+            .ok_or_else(|| QutesError::runtime("shift amount must be an integer", e.span))?;
+        if k < 0 {
+            return Err(QutesError::runtime("shift amount must be >= 0", e.span));
+        }
+        Ok(Some(k as usize))
+    }
+
+    /// An index value: `None` when it is unknown.
+    fn eval_index(&mut self, e: &Expr) -> QutesResult<Option<usize>> {
+        let v = self.eval(e)?;
+        match self.classical(v)? {
+            Value::Unknown(_) => Ok(None),
+            v => v
+                .as_i64()
+                .filter(|&i| i >= 0)
+                .map(|i| Some(i as usize))
+                .ok_or_else(|| QutesError::runtime("index must be a non-negative integer", e.span)),
+        }
     }
 
     // ---- gates -----------------------------------------------------------
 
-    fn eval_quantum_operand(&mut self, e: &Expr, what: &str) -> QutesResult<QuantumRef> {
+    /// A quantum operand: `None` when the domain lost track of it.
+    fn eval_quantum_operand(&mut self, e: &Expr, what: &str) -> QutesResult<Option<QuantumRef>> {
         match self.eval(e)? {
-            Value::Quantum(q) => Ok(q),
+            Value::Quantum(q) => Ok(Some(q)),
+            Value::Unknown(_) => Ok(None),
             other => Err(QutesError::runtime(
                 format!(
                     "{what} needs a quantum operand, found {}",
@@ -798,7 +1034,10 @@ impl Interp {
     fn exec_gate(&mut self, gate: GateKind, args: &[Expr], span: Span) -> QutesResult<()> {
         match gate {
             GateKind::Hadamard | GateKind::NotGate | GateKind::PauliY | GateKind::PauliZ => {
-                let q = self.eval_quantum_operand(&args[0], gate.name())?;
+                let Some(q) = self.eval_quantum_operand(&args[0], gate.name())? else {
+                    self.note(LOST_REGISTER);
+                    return Ok(());
+                };
                 for &qb in &q.qubits {
                     let g = match gate {
                         GateKind::Hadamard => Gate::H(qb),
@@ -807,16 +1046,25 @@ impl Interp {
                         GateKind::PauliZ => Gate::Z(qb),
                         _ => unreachable!(),
                     };
-                    self.handler.apply(g)?;
+                    self.dom.apply(g)?;
                 }
             }
             GateKind::Phase => {
                 let q = self.eval_quantum_operand(&args[0], "phase")?;
-                let angle = self.eval(&args[1])?.as_f64().ok_or_else(|| {
-                    QutesError::runtime("phase angle must be numeric", args[1].span)
-                })?;
+                // An unknown angle changes no count (and a phase gate is
+                // never Clifford, whatever its angle).
+                let angle = match self.eval(&args[1])? {
+                    Value::Unknown(_) => 0.0,
+                    v => v.as_f64().ok_or_else(|| {
+                        QutesError::runtime("phase angle must be numeric", args[1].span)
+                    })?,
+                };
+                let Some(q) = q else {
+                    self.note(LOST_REGISTER);
+                    return Ok(());
+                };
                 for &qb in &q.qubits {
-                    self.handler.apply(Gate::Phase {
+                    self.dom.apply(Gate::Phase {
                         target: qb,
                         lambda: angle,
                     })?;
@@ -825,16 +1073,20 @@ impl Interp {
             GateKind::CNot => {
                 let c = self.eval_quantum_operand(&args[0], "cnot")?;
                 let t = self.eval_quantum_operand(&args[1], "cnot")?;
+                let (Some(c), Some(t)) = (c, t) else {
+                    self.note(LOST_REGISTER);
+                    return Ok(());
+                };
                 if c.width() == t.width() {
                     for (&cq, &tq) in c.qubits.iter().zip(&t.qubits) {
-                        self.handler.apply(Gate::CX {
+                        self.dom.apply(Gate::CX {
                             control: cq,
                             target: tq,
                         })?;
                     }
                 } else if c.width() == 1 {
                     for &tq in &t.qubits {
-                        self.handler.apply(Gate::CX {
+                        self.dom.apply(Gate::CX {
                             control: c.qubits[0],
                             target: tq,
                         })?;
@@ -861,19 +1113,14 @@ impl Interp {
     /// exact for basis states, entangling for superpositions — the
     /// ancilla is later uncomputed by the same CX pattern).
     fn cx_copy(&mut self, src: &[usize], width: usize, name: &str) -> QutesResult<Vec<usize>> {
-        let dst = self.handler.acquire_ancillas(width, name)?;
-        for (i, &s) in src.iter().enumerate().take(width) {
-            self.handler.apply(Gate::CX {
-                control: s,
-                target: dst[i],
-            })?;
-        }
+        let dst = self.dom.acquire_ancillas(width, name)?;
+        self.uncompute_cx_copy(src, &dst)?;
         Ok(dst)
     }
 
     fn uncompute_cx_copy(&mut self, src: &[usize], dst: &[usize]) -> QutesResult<()> {
         for (i, &s) in src.iter().enumerate().take(dst.len()) {
-            self.handler.apply(Gate::CX {
+            self.dom.apply(Gate::CX {
                 control: s,
                 target: dst[i],
             })?;
@@ -893,19 +1140,30 @@ impl Interp {
             Value::Int(k) if k >= 0 && !subtract => {
                 let mut frag = self.fragment();
                 arithmetic::add_const(&mut frag, &target.qubits, k as u64)?;
-                self.handler.apply_fragment(&frag)?;
+                self.dom.apply_fragment(&frag)?;
             }
             Value::Int(k) if k >= 0 && subtract => {
                 // b - k = b + (2^n - k) mod 2^n.
                 let n = target.width() as u32;
-                let modulus = 1u64 << n;
+                let modulus = 1u64.checked_shl(n).ok_or_else(|| {
+                    QutesError::runtime("quint too wide for constant subtraction", span)
+                })?;
                 let k = (k as u64) % modulus;
                 let mut frag = self.fragment();
                 arithmetic::add_const(&mut frag, &target.qubits, (modulus - k) % modulus)?;
-                self.handler.apply_fragment(&frag)?;
+                self.dom.apply_fragment(&frag)?;
             }
             Value::Bool(b) => {
                 return self.quint_add_sub_in_place(target, Value::Int(b as i64), subtract, span)
+            }
+            // The Draper adder emits the same gates for every constant —
+            // only the phase angles differ — so an unknown addend still
+            // lowers exactly.
+            Value::Unknown(Unknown::Int | Unknown::Bool) => {
+                return self.quint_add_sub_in_place(target, Value::Int(0), subtract, span)
+            }
+            Value::Unknown(_) => {
+                self.note("quint arithmetic with an operand the estimator lost track of")
             }
             Value::Quantum(q) if q.kind == QKind::Quint => {
                 let w = target.width();
@@ -914,18 +1172,18 @@ impl Interp {
                 let name = self.fresh_name("addend");
                 let tmp = self.cx_copy(&q.qubits, w, &name)?;
                 let carry_name = self.fresh_name("carry");
-                let carry = self.handler.acquire_ancillas(1, &carry_name)?[0];
+                let carry = self.dom.acquire_ancillas(1, &carry_name)?[0];
                 let mut frag = self.fragment();
                 if subtract {
                     arithmetic::sub_in_place(&mut frag, &tmp, &target.qubits, carry)?;
                 } else {
                     arithmetic::add_in_place(&mut frag, &tmp, &target.qubits, carry)?;
                 }
-                self.handler.apply_fragment(&frag)?;
+                self.dom.apply_fragment(&frag)?;
                 self.uncompute_cx_copy(&q.qubits, &tmp)?;
                 // The addend copy and the carry are clean again: pool them.
-                self.handler.release_ancillas(&tmp);
-                self.handler.release_ancillas(&[carry]);
+                self.dom.release_ancillas(&tmp);
+                self.dom.release_ancillas(&[carry]);
             }
             other => {
                 return Err(QutesError::runtime(
@@ -954,8 +1212,12 @@ impl Interp {
         // operand when adding).
         let rhs_width = match &rhs {
             Value::Int(k) if *k >= 0 => bits_for(*k as u64),
-            Value::Bool(_) => 1,
+            Value::Bool(_) | Value::Unknown(Unknown::Bool) => 1,
             Value::Quantum(q) if q.kind == QKind::Quint => q.width(),
+            Value::Unknown(Unknown::Int | Unknown::Any) => {
+                self.note("quint arithmetic with a run-dependent operand: result width unknown");
+                return Ok(LOST);
+            }
             other => {
                 return Err(QutesError::runtime(
                     format!("cannot combine quint with {}", other.type_name()),
@@ -984,15 +1246,19 @@ impl Interp {
                 // in the basis state |k>, disentangled — uncomputed and
                 // recycled after the product is formed).
                 let name = self.fresh_name("factor");
-                let r = Cast::new_quint(&mut self.handler, &name, k as u64, None)?;
+                let r = Cast::new_quint(self.dom, &name, k as u64, None)?;
                 constant_factor = Some((k as u64, r.qubits.clone()));
                 r
             }
             Value::Bool(bit) => {
                 let name = self.fresh_name("factor");
-                let r = Cast::new_quint(&mut self.handler, &name, bit as u64, None)?;
+                let r = Cast::new_quint(self.dom, &name, bit as u64, None)?;
                 constant_factor = Some((bit as u64, r.qubits.clone()));
                 r
+            }
+            Value::Unknown(Unknown::Int | Unknown::Bool | Unknown::Any) => {
+                self.note("quint multiplication by a run-dependent factor: width unknown");
+                return Ok(LOST);
             }
             other => {
                 return Err(QutesError::runtime(
@@ -1003,23 +1269,23 @@ impl Interp {
         };
         let pw = a.width() + b.width();
         let prod_name = self.fresh_name("product");
-        self.handler.check_capacity(pw + 1, &prod_name)?;
-        let product = self.handler.allocate(&prod_name, pw)?;
+        self.dom.check_capacity(pw + 1, &prod_name)?;
+        let product = self.dom.allocate(&prod_name, pw)?;
         let carry_name = self.fresh_name("carry");
-        let carry = self.handler.acquire_ancillas(1, &carry_name)?[0];
+        let carry = self.dom.acquire_ancillas(1, &carry_name)?[0];
         let mut frag = self.fragment();
         arithmetic::mul_into(&mut frag, &a.qubits, &b.qubits, &product, carry)?;
-        self.handler.apply_fragment(&frag)?;
-        self.handler.release_ancillas(&[carry]);
+        self.dom.apply_fragment(&frag)?;
+        self.dom.release_ancillas(&[carry]);
         if let Some((k, factor)) = constant_factor {
             // The constant factor register still holds |k>: uncompute it
             // with classically-known X gates and recycle the qubits.
             for (i, &fq) in factor.iter().enumerate() {
                 if k >> i & 1 == 1 {
-                    self.handler.apply(Gate::X(fq))?;
+                    self.dom.apply(Gate::X(fq))?;
                 }
             }
-            self.handler.release_ancillas(&factor);
+            self.dom.release_ancillas(&factor);
         }
         Ok(Value::Quantum(QuantumRef {
             qubits: product,
@@ -1034,13 +1300,13 @@ impl Interp {
         } else {
             rotation::rotate_right_constant_depth(&mut frag, &q.qubits, k)?;
         }
-        self.handler.apply_fragment(&frag)?;
+        self.dom.apply_fragment(&frag)?;
         Ok(())
     }
 
-    /// An empty fragment sized to the handler's current width.
+    /// An empty fragment sized to the domain's current width.
     fn fragment(&self) -> QuantumCircuit {
-        QuantumCircuit::with_qubits(self.handler.num_qubits())
+        QuantumCircuit::with_qubits(self.dom.num_qubits())
     }
 
     // ---- the `in` operator: Grover substring search ------------------------
@@ -1049,24 +1315,28 @@ impl Interp {
     /// amplification over a **position register**, using the
     /// Boyer–Brassard–Høyer–Tapp schedule because the number of
     /// occurrences (the marked-set size) is unknown to the runtime.
+    ///
+    /// The domain draws each round's iteration count. A run draws at
+    /// random and stops at the first verified match; the estimator draws
+    /// the maximum and, not knowing any outcome, never stops early and
+    /// resets every position bit — the schedule's worst case.
     fn quantum_substring_search(
         &mut self,
         pattern: &[bool],
         hay: &QuantumRef,
-        span: Span,
-    ) -> QutesResult<bool> {
+    ) -> QutesResult<Value> {
         let n = hay.width();
         let m = pattern.len();
         if m == 0 {
-            return Ok(true);
+            return Ok(Value::Bool(true));
         }
         if m > n {
-            return Ok(false);
+            return Ok(Value::Bool(false));
         }
         let positions = n - m + 1;
         let pw = usize::max(1, (usize::BITS - (positions - 1).leading_zeros()) as usize);
         let pos_name = self.fresh_name("grover_pos");
-        let pos = self.handler.acquire_ancillas(pw, &pos_name)?;
+        let pos = self.dom.acquire_ancillas(pw, &pos_name)?;
 
         // A = uniform superposition over the valid positions 0..positions.
         let values: Vec<u64> = (0..positions as u64).collect();
@@ -1112,50 +1382,66 @@ impl Interp {
         }
         diffusion.extend(&prep)?;
 
-        // BBHT loop: pick a random iteration count below a growing bound,
+        // BBHT loop: pick an iteration count below a growing bound,
         // amplify, measure a candidate position, and verify it against
         // the text window. Absent patterns exhaust the round budget and
         // return false; present patterns succeed with overwhelming
         // probability within O(sqrt(positions)) expected oracle calls.
-        use rand::Rng as _;
         let sqrt_n = (positions as f64).sqrt();
         let max_rounds = 12 + 3 * sqrt_n.ceil() as usize;
         let mut bound = 1.0f64;
+        let mut outcome = Value::Bool(false);
         for _ in 0..max_rounds {
-            let k = self
-                .handler
-                .rng()
-                .random_range(0..bound.ceil() as usize + 1);
-            self.handler.apply_fragment(&prep)?;
+            let k = self.dom.bbht_iterations(bound.ceil() as usize);
+            self.dom.apply_fragment(&prep)?;
             for _ in 0..k {
-                self.handler.apply_fragment(&oracle)?;
-                self.handler.apply_fragment(&diffusion)?;
+                self.dom.apply_fragment(&oracle)?;
+                self.dom.apply_fragment(&diffusion)?;
             }
-            let candidate = self.handler.measure(&pos)? as usize;
             // Reset the (collapsed) position register to |0> so the next
             // round can re-prepare it.
-            for (bit, &pq) in pos.iter().enumerate() {
-                if candidate >> bit & 1 == 1 {
-                    self.handler.apply(Gate::X(pq))?;
+            let Some(bits) = self.dom.measure_bits(&pos)? else {
+                for &pq in &pos {
+                    self.dom.apply(Gate::X(pq))?;
+                }
+                self.dom.measure_bits(&hay.qubits[..m])?;
+                outcome = Value::Unknown(Unknown::Bool);
+                bound = (bound * 1.3).min(sqrt_n.max(1.0));
+                continue;
+            };
+            for (&b, &pq) in bits.iter().zip(&pos) {
+                if b {
+                    self.dom.apply(Gate::X(pq))?;
                 }
             }
+            let candidate = pack_bits(&bits) as usize;
             if candidate < positions {
                 let window: Vec<usize> = (0..m).map(|j| hay.qubits[candidate + j]).collect();
-                let observed = self.handler.measure(&window)?;
-                let matches = pattern
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &p)| (observed >> j & 1 == 1) == p);
-                if matches {
-                    self.handler.release_ancillas(&pos);
-                    return Ok(true);
+                let observed = self.dom.measure_bits(&window)?;
+                if observed.is_some_and(|o| o == pattern) {
+                    self.dom.release_ancillas(&pos);
+                    return Ok(Value::Bool(true));
                 }
             }
             bound = (bound * 1.3).min(sqrt_n.max(1.0));
         }
-        self.handler.release_ancillas(&pos);
-        let _ = span;
-        Ok(false)
+        self.dom.release_ancillas(&pos);
+        Ok(outcome)
+    }
+
+    /// `in` with a pattern the domain cannot know: it may have any
+    /// length, so search for each (all-zero bits, the most X
+    /// conjugation) on its own copy of the domain and join them all.
+    fn search_every_length(&mut self, hay: &QuantumRef) -> QutesResult<Value> {
+        let start = self.dom.split()?;
+        for m in 1..=hay.width() {
+            let done = std::mem::replace(&mut *self.dom, start.split()?);
+            self.quantum_substring_search(&vec![false; m], hay)?;
+            if m > 1 {
+                self.dom.join(done, true);
+            }
+        }
+        Ok(Value::Unknown(Unknown::Bool))
     }
 
     // ---- expressions -------------------------------------------------------
@@ -1164,14 +1450,16 @@ impl Interp {
         self.eval_with_target(e, None)
     }
 
-    fn eval_condition(&mut self, e: &Expr) -> QutesResult<bool> {
+    /// A condition's truth: `None` when the domain cannot know it.
+    fn eval_condition(&mut self, e: &Expr) -> QutesResult<Option<bool>> {
         let v = self.eval(e)?;
-        let v = match v {
-            Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-            other => other,
-        };
-        v.as_bool()
-            .ok_or_else(|| QutesError::runtime("condition is not boolean", e.span))
+        match self.classical(v)? {
+            Value::Unknown(_) => Ok(None),
+            v => v
+                .as_bool()
+                .map(Some)
+                .ok_or_else(|| QutesError::runtime("condition is not boolean", e.span)),
+        }
     }
 
     fn eval_with_target(&mut self, e: &Expr, target: Option<&Type>) -> QutesResult<Value> {
@@ -1185,106 +1473,26 @@ impl Interp {
                 let name = self.fresh_name("quint_lit");
                 if matches!(target, Some(Type::Qubit)) && *v <= 1 {
                     Ok(Value::Quantum(Cast::new_qubit_basis(
-                        &mut self.handler,
+                        self.dom,
                         &name,
                         *v == 1,
                     )?))
                 } else {
-                    Ok(Value::Quantum(Cast::new_quint(
-                        &mut self.handler,
-                        &name,
-                        *v,
-                        None,
-                    )?))
+                    Ok(Value::Quantum(Cast::new_quint(self.dom, &name, *v, None)?))
                 }
             }
             ExprKind::Qustring(s) => {
                 let name = self.fresh_name("qustring_lit");
                 Ok(Value::Quantum(Cast::new_qustring(
-                    &mut self.handler,
-                    &name,
-                    s,
-                    e.span,
+                    self.dom, &name, s, e.span,
                 )?))
             }
             ExprKind::Ket(k) => {
                 let name = self.fresh_name("ket");
-                Ok(Value::Quantum(Cast::new_qubit_ket(
-                    &mut self.handler,
-                    &name,
-                    *k,
-                )?))
+                Ok(Value::Quantum(Cast::new_qubit_ket(self.dom, &name, *k)?))
             }
-            ExprKind::Array(elems) => {
-                let elem_target = match target {
-                    Some(Type::Array(t)) => Some((**t).clone()),
-                    _ => None,
-                };
-                let mut items = Vec::with_capacity(elems.len());
-                for el in elems {
-                    let v = self.eval_with_target(el, elem_target.as_ref())?;
-                    let v = match (&elem_target, v) {
-                        (Some(t), v) => {
-                            let name = self.fresh_name("elem");
-                            self.coerce(v, t, &name, el.span)?
-                        }
-                        (None, v) => v,
-                    };
-                    items.push(cell(v));
-                }
-                Ok(Value::Array(Rc::new(RefCell::new(items))))
-            }
-            ExprKind::QuantumArray(elems) => {
-                let vals: Vec<Value> = elems
-                    .iter()
-                    .map(|el| self.eval(el))
-                    .collect::<QutesResult<_>>()?;
-                let any_float = vals.iter().any(|v| matches!(v, Value::Float(_)));
-                if any_float || matches!(target, Some(Type::Qubit)) {
-                    if vals.len() != 2 {
-                        return Err(QutesError::runtime(
-                            "a qubit amplitude literal needs exactly two entries [a, b]",
-                            e.span,
-                        ));
-                    }
-                    let a = vals[0]
-                        .as_f64()
-                        .ok_or_else(|| QutesError::runtime("amplitudes must be numeric", e.span))?;
-                    let b = vals[1]
-                        .as_f64()
-                        .ok_or_else(|| QutesError::runtime("amplitudes must be numeric", e.span))?;
-                    let name = self.fresh_name("qubit_amp");
-                    Ok(Value::Quantum(Cast::new_qubit_amplitudes(
-                        &mut self.handler,
-                        &name,
-                        a,
-                        b,
-                        e.span,
-                    )?))
-                } else {
-                    let values: Vec<u64> = vals
-                        .iter()
-                        .map(|v| {
-                            v.as_i64()
-                                .filter(|&i| i >= 0)
-                                .map(|i| i as u64)
-                                .ok_or_else(|| {
-                                    QutesError::runtime(
-                                        "superposition values must be non-negative integers",
-                                        e.span,
-                                    )
-                                })
-                        })
-                        .collect::<QutesResult<_>>()?;
-                    let name = self.fresh_name("superpos");
-                    Ok(Value::Quantum(Cast::new_quint_superposed(
-                        &mut self.handler,
-                        &name,
-                        &values,
-                        e.span,
-                    )?))
-                }
-            }
+            ExprKind::Array(elems) => self.eval_array(elems, target),
+            ExprKind::QuantumArray(elems) => self.eval_quantum_array(elems, target, e.span),
             ExprKind::Var(name) => match self.symbols.lookup(name) {
                 Some(sym) => Ok(sym.value.borrow().clone()),
                 None => Err(QutesError::runtime(
@@ -1292,99 +1500,191 @@ impl Interp {
                     e.span,
                 )),
             },
-            ExprKind::Index(base, idx) => {
-                let b = self.eval(base)?;
-                let i = self.eval_index(idx)?;
-                match b {
-                    Value::Array(items) => {
-                        let items = items.borrow();
-                        items.get(i).map(|c| c.borrow().clone()).ok_or_else(|| {
-                            QutesError::runtime(
-                                format!(
-                                    "index {i} out of bounds for array of length {}",
-                                    items.len()
-                                ),
-                                e.span,
-                            )
-                        })
-                    }
-                    Value::Quantum(q) => {
-                        if i >= q.width() {
-                            return Err(QutesError::runtime(
-                                format!("index {i} out of bounds for {}-qubit register", q.width()),
-                                e.span,
-                            ));
-                        }
-                        Ok(Value::Quantum(QuantumRef {
-                            qubits: vec![q.qubits[i]],
-                            kind: QKind::Qubit,
-                        }))
-                    }
-                    Value::Str(s) => s
-                        .chars()
-                        .nth(i)
-                        .map(|c| Value::Str(c.to_string()))
-                        .ok_or_else(|| {
-                            QutesError::runtime(
-                                format!("index {i} out of bounds for string of length {}", s.len()),
-                                e.span,
-                            )
-                        }),
-                    other => Err(QutesError::runtime(
-                        format!("cannot index into {}", other.type_name()),
-                        e.span,
-                    )),
-                }
-            }
-            ExprKind::Unary(op, inner) => {
-                let v = self.eval(inner)?;
-                let v = match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                    other => other,
-                };
-                match op {
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(QutesError::runtime(
-                            format!("cannot negate {}", other.type_name()),
-                            inner.span,
-                        )),
-                    },
-                    UnOp::Not => v
-                        .as_bool()
-                        .map(|b| Value::Bool(!b))
-                        .ok_or_else(|| QutesError::runtime("'!' needs a boolean", inner.span)),
-                }
-            }
+            ExprKind::Index(base, idx) => self.eval_index_expr(base, idx, e.span),
+            ExprKind::Unary(op, inner) => self.eval_unary(*op, inner),
             ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r, e.span),
             ExprKind::Call(name, args) => self.eval_call(name, args, e.span),
             ExprKind::MeasureExpr(inner) => {
                 let v = self.eval(inner)?;
-                match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q),
-                    other => Err(QutesError::runtime(
-                        format!(
-                            "measure expects a quantum value, found {}",
-                            other.type_name()
-                        ),
-                        inner.span,
-                    )),
-                }
+                self.measure_value(v, inner.span)
             }
+        }
+    }
+
+    fn eval_array(&mut self, elems: &[Expr], target: Option<&Type>) -> QutesResult<Value> {
+        let elem_target = match target {
+            Some(Type::Array(t)) => Some((**t).clone()),
+            _ => None,
+        };
+        let mut items = Vec::with_capacity(elems.len());
+        for el in elems {
+            let v = self.eval_with_target(el, elem_target.as_ref())?;
+            let v = match (&elem_target, v) {
+                (Some(t), v) => {
+                    let name = self.fresh_name("elem");
+                    self.coerce(v, t, &name, el.span)?
+                }
+                (None, v) => v,
+            };
+            items.push(cell(v));
+        }
+        Ok(Value::Array(Rc::new(RefCell::new(items))))
+    }
+
+    fn eval_quantum_array(
+        &mut self,
+        elems: &[Expr],
+        target: Option<&Type>,
+        span: Span,
+    ) -> QutesResult<Value> {
+        let vals: Vec<Value> = elems
+            .iter()
+            .map(|el| self.eval(el))
+            .collect::<QutesResult<_>>()?;
+        let any_float = vals
+            .iter()
+            .any(|v| matches!(v, Value::Float(_) | Value::Unknown(Unknown::Float)));
+        let amplitudes = any_float || matches!(target, Some(Type::Qubit));
+        if vals.iter().any(|v| matches!(v, Value::Unknown(_))) {
+            self.note(if amplitudes {
+                "qubit amplitude literal with run-dependent amplitudes"
+            } else {
+                "superposition literal with run-dependent values: state \
+                 preparation network unknown"
+            });
+            return Ok(LOST);
+        }
+        if amplitudes {
+            if vals.len() != 2 {
+                return Err(QutesError::runtime(
+                    "a qubit amplitude literal needs exactly two entries [a, b]",
+                    span,
+                ));
+            }
+            let a = vals[0]
+                .as_f64()
+                .ok_or_else(|| QutesError::runtime("amplitudes must be numeric", span))?;
+            let b = vals[1]
+                .as_f64()
+                .ok_or_else(|| QutesError::runtime("amplitudes must be numeric", span))?;
+            let name = self.fresh_name("qubit_amp");
+            Ok(Value::Quantum(Cast::new_qubit_amplitudes(
+                self.dom, &name, a, b, span,
+            )?))
+        } else {
+            let values: Vec<u64> = vals
+                .iter()
+                .map(|v| {
+                    v.as_i64()
+                        .filter(|&i| i >= 0)
+                        .map(|i| i as u64)
+                        .ok_or_else(|| {
+                            QutesError::runtime(
+                                "superposition values must be non-negative integers",
+                                span,
+                            )
+                        })
+                })
+                .collect::<QutesResult<_>>()?;
+            let name = self.fresh_name("superpos");
+            Ok(Value::Quantum(Cast::new_quint_superposed(
+                self.dom, &name, &values, span,
+            )?))
+        }
+    }
+
+    fn eval_index_expr(&mut self, base: &Expr, idx: &Expr, span: Span) -> QutesResult<Value> {
+        let b = self.eval(base)?;
+        let Some(i) = self.eval_index(idx)? else {
+            if b.is_quantum() {
+                self.note("quantum register indexed by a run-dependent value");
+            }
+            return Ok(LOST);
+        };
+        match b {
+            Value::Array(items) => {
+                let items = items.borrow();
+                items.get(i).map(|c| c.borrow().clone()).ok_or_else(|| {
+                    QutesError::runtime(
+                        format!(
+                            "index {i} out of bounds for array of length {}",
+                            items.len()
+                        ),
+                        span,
+                    )
+                })
+            }
+            Value::Quantum(q) => {
+                if i >= q.width() {
+                    return Err(QutesError::runtime(
+                        format!("index {i} out of bounds for {}-qubit register", q.width()),
+                        span,
+                    ));
+                }
+                Ok(Value::Quantum(QuantumRef {
+                    qubits: vec![q.qubits[i]],
+                    kind: QKind::Qubit,
+                }))
+            }
+            Value::Str(s) => s
+                .chars()
+                .nth(i)
+                .map(|c| Value::Str(c.to_string()))
+                .ok_or_else(|| {
+                    QutesError::runtime(
+                        format!("index {i} out of bounds for string of length {}", s.len()),
+                        span,
+                    )
+                }),
+            Value::Unknown(_) => Ok(LOST),
+            other => Err(QutesError::runtime(
+                format!("cannot index into {}", other.type_name()),
+                span,
+            )),
+        }
+    }
+
+    fn eval_unary(&mut self, op: UnOp, inner: &Expr) -> QutesResult<Value> {
+        let v = self.eval(inner)?;
+        match (op, self.classical(v)?) {
+            (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(-i)),
+            (UnOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
+            (UnOp::Neg, u @ Value::Unknown(Unknown::Int | Unknown::Float | Unknown::Any)) => Ok(u),
+            (UnOp::Neg, other) => Err(QutesError::runtime(
+                format!("cannot negate {}", other.type_name()),
+                inner.span,
+            )),
+            (UnOp::Not, Value::Unknown(_)) => Ok(Value::Unknown(Unknown::Bool)),
+            (UnOp::Not, v) => v
+                .as_bool()
+                .map(|b| Value::Bool(!b))
+                .ok_or_else(|| QutesError::runtime("'!' needs a boolean", inner.span)),
         }
     }
 
     fn eval_binary(&mut self, op: BinOp, l: &Expr, r: &Expr, span: Span) -> QutesResult<Value> {
         use BinOp::*;
-        // Short-circuit logicals first.
+        // Short-circuit logicals first. When the left side is unknown,
+        // whether the right side (and its measurements) runs is too.
         if matches!(op, And | Or) {
-            let lv = self.eval_condition(l)?;
-            return Ok(Value::Bool(match op {
-                And => lv && self.eval_condition(r)?,
-                Or => lv || self.eval_condition(r)?,
-                _ => unreachable!(),
-            }));
+            return Ok(match (op, self.eval_condition(l)?) {
+                (And, Some(false)) => Value::Bool(false),
+                (Or, Some(true)) => Value::Bool(true),
+                (_, Some(_)) => match self.eval_condition(r)? {
+                    Some(b) => Value::Bool(b),
+                    None => Value::Unknown(Unknown::Bool),
+                },
+                (_, None) => {
+                    self.fork(
+                        |i| {
+                            i.eval_condition(r)?;
+                            Ok(Flow::Normal)
+                        },
+                        |_| Ok(Flow::Normal),
+                    )?;
+                    Value::Unknown(Unknown::Bool)
+                }
+            });
         }
 
         let lv = self.eval(l)?;
@@ -1408,6 +1708,10 @@ impl Interp {
             }
             if matches!(op, Shl | Shr) {
                 let rv = self.eval(r)?;
+                if let Value::Unknown(_) = rv {
+                    self.note(UNKNOWN_SHIFT);
+                    return Ok(LOST);
+                }
                 let k = rv.as_i64().filter(|&k| k >= 0).ok_or_else(|| {
                     QutesError::runtime("shift amount must be a non-negative integer", r.span)
                 })? as usize;
@@ -1421,7 +1725,11 @@ impl Interp {
             }
         }
         // int + quint / int * quint (commute to the quint-first forms).
-        if let (Add | Mul, Value::Int(_) | Value::Bool(_)) = (op, &lv) {
+        if let (
+            Add | Mul,
+            Value::Int(_) | Value::Bool(_) | Value::Unknown(Unknown::Int | Unknown::Bool),
+        ) = (op, &lv)
+        {
             let rv = self.eval(r)?;
             if let Value::Quantum(q) = &rv {
                 if q.kind == QKind::Quint {
@@ -1441,6 +1749,8 @@ impl Interp {
     }
 
     /// Classical binary semantics; quantum operands are auto-measured.
+    /// An unknown operand makes the result unknown (a comparison stays
+    /// a boolean).
     fn classical_binary(
         &mut self,
         op: BinOp,
@@ -1449,14 +1759,20 @@ impl Interp {
         span: Span,
     ) -> QutesResult<Value> {
         use BinOp::*;
-        let lv = match lv {
-            Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-            v => v,
-        };
-        let rv = match rv {
-            Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-            v => v,
-        };
+        let lv = self.classical(lv)?;
+        let rv = self.classical(rv)?;
+        match (&lv, &rv) {
+            (Value::Unknown(Unknown::Any), _) | (_, Value::Unknown(Unknown::Any)) => {
+                return Ok(LOST)
+            }
+            (Value::Unknown(_), _) | (_, Value::Unknown(_)) => {
+                return Ok(match op {
+                    Eq | Ne | Lt | Le | Gt | Ge | In => Value::Unknown(Unknown::Bool),
+                    _ => LOST,
+                })
+            }
+            _ => {}
+        }
         let type_err = |lv: &Value, rv: &Value| {
             Err(QutesError::runtime(
                 format!(
@@ -1565,17 +1881,18 @@ impl Interp {
     /// `pattern in haystack` dispatch.
     fn eval_in(&mut self, pattern: Value, haystack: Value, span: Span) -> QutesResult<Value> {
         // The pattern must be classical bits; measure it if quantum.
-        let pattern = match pattern {
-            Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-            v => v,
-        };
+        let pattern = self.classical(pattern)?;
         match haystack {
             Value::Quantum(hay) if hay.kind == QKind::Qustring => {
-                let Value::Str(p) = &pattern else {
-                    return Err(QutesError::runtime(
-                        format!("'in' needs a string pattern, found {}", pattern.type_name()),
-                        span,
-                    ));
+                let p = match &pattern {
+                    Value::Str(p) => p,
+                    Value::Unknown(Unknown::Str) => return self.search_every_length(&hay),
+                    other => {
+                        return Err(QutesError::runtime(
+                            format!("'in' needs a string pattern, found {}", other.type_name()),
+                            span,
+                        ))
+                    }
                 };
                 if !p.chars().all(|c| c == '0' || c == '1') {
                     return Err(QutesError::runtime(
@@ -1584,8 +1901,7 @@ impl Interp {
                     ));
                 }
                 let bits = substring_oracle::bits_from_str(p);
-                let found = self.quantum_substring_search(&bits, &hay, span)?;
-                Ok(Value::Bool(found))
+                self.quantum_substring_search(&bits, &hay)
             }
             v => self.classical_binary(BinOp::In, pattern, v, span),
         }
@@ -1597,7 +1913,7 @@ impl Interp {
         if let Some(v) = self.eval_builtin(name, args, span)? {
             return Ok(v);
         }
-        let Some(decl) = self.functions.get(name).cloned() else {
+        let Some(decl) = self.functions.get(name) else {
             return Err(QutesError::runtime(
                 format!("call to unknown function '{name}'"),
                 span,
@@ -1618,13 +1934,13 @@ impl Interp {
         // is evaluated and coerced into a fresh cell.
         let mut bindings: Vec<(String, Type, Cell)> = Vec::with_capacity(args.len());
         for (a, p) in args.iter().zip(&decl.params) {
-            let bound = if let ExprKind::Var(var_name) = &a.kind {
-                match self.symbols.lookup(var_name) {
-                    Some(sym) if sym.ty == p.ty => Some(self.symbols.cell(var_name).unwrap()),
-                    _ => None,
-                }
-            } else {
-                None
+            let bound = match &a.kind {
+                ExprKind::Var(var_name) => self
+                    .symbols
+                    .lookup(var_name)
+                    .filter(|sym| sym.ty == p.ty)
+                    .map(|sym| Rc::clone(&sym.value)),
+                _ => None,
             };
             let c = match bound {
                 Some(c) => c,
@@ -1649,14 +1965,13 @@ impl Interp {
                 span,
             ));
         }
-        let saved = self.symbols.enter_function();
+        self.symbols.enter_function();
         self.symbols.push_scope();
         for (pname, pty, c) in bindings {
             self.symbols.bind(&pname, pty, c, decl.span);
         }
         let flow = self.exec_stmts(&decl.body.stmts);
-        self.symbols.pop_scope();
-        self.symbols.exit_function(saved);
+        self.symbols.exit_function();
         self.call_depth -= 1;
         match flow? {
             Flow::Return(v) => Ok(v),
@@ -1704,6 +2019,7 @@ impl Interp {
                     Value::Array(items) => Value::Int(items.borrow().len() as i64),
                     Value::Str(s) => Value::Int(s.chars().count() as i64),
                     Value::Quantum(q) => Value::Int(q.width() as i64),
+                    Value::Unknown(_) => Value::Unknown(Unknown::Int),
                     other => {
                         return Err(QutesError::runtime(
                             format!("len() is not defined for {}", other.type_name()),
@@ -1716,6 +2032,7 @@ impl Interp {
                 arity(1)?;
                 match self.eval(&args[0])? {
                     Value::Quantum(q) => Value::Int(q.width() as i64),
+                    Value::Unknown(_) => Value::Unknown(Unknown::Int),
                     other => {
                         return Err(QutesError::runtime(
                             format!("width() needs a quantum value, found {}", other.type_name()),
@@ -1726,13 +2043,12 @@ impl Interp {
             }
             "range" => {
                 arity(1)?;
-                let n = self
-                    .eval(&args[0])?
-                    .as_i64()
-                    .filter(|&n| n >= 0)
-                    .ok_or_else(|| {
+                let n = match self.eval(&args[0])? {
+                    Value::Unknown(_) => return Ok(Some(LOST)),
+                    v => v.as_i64().filter(|&n| n >= 0).ok_or_else(|| {
                         QutesError::runtime("range() needs a non-negative integer", span)
-                    })?;
+                    })?,
+                };
                 Value::Array(Rc::new(RefCell::new(
                     (0..n).map(|i| cell(Value::Int(i))).collect(),
                 )))
@@ -1740,17 +2056,14 @@ impl Interp {
             "int" => {
                 arity(1)?;
                 let v = self.eval(&args[0])?;
-                let v = match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                    v => v,
-                };
-                match v {
+                match self.classical(v)? {
                     Value::Int(i) => Value::Int(i),
                     Value::Float(f) => Value::Int(f.trunc() as i64),
                     Value::Bool(b) => Value::Int(b as i64),
                     Value::Str(s) => Value::Int(s.trim().parse::<i64>().map_err(|_| {
                         QutesError::runtime(format!("cannot parse '{s}' as int"), span)
                     })?),
+                    Value::Unknown(_) => Value::Unknown(Unknown::Int),
                     other => {
                         return Err(QutesError::runtime(
                             format!("int() is not defined for {}", other.type_name()),
@@ -1762,48 +2075,43 @@ impl Interp {
             "float" => {
                 arity(1)?;
                 let v = self.eval(&args[0])?;
-                let v = match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                    v => v,
-                };
+                let v = self.classical(v)?;
                 match v.as_f64() {
                     Some(f) => Value::Float(f),
-                    None => {
-                        if let Value::Str(s) = &v {
-                            Value::Float(s.trim().parse::<f64>().map_err(|_| {
-                                QutesError::runtime(format!("cannot parse '{s}' as float"), span)
-                            })?)
-                        } else {
+                    None => match &v {
+                        Value::Str(s) => Value::Float(s.trim().parse::<f64>().map_err(|_| {
+                            QutesError::runtime(format!("cannot parse '{s}' as float"), span)
+                        })?),
+                        Value::Unknown(_) => Value::Unknown(Unknown::Float),
+                        _ => {
                             return Err(QutesError::runtime(
                                 format!("float() is not defined for {}", v.type_name()),
                                 span,
                             ));
                         }
-                    }
+                    },
                 }
             }
             "bool" => {
                 arity(1)?;
                 let v = self.eval(&args[0])?;
-                let v = match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                    v => v,
-                };
-                Value::Bool(v.as_bool().ok_or_else(|| {
-                    QutesError::runtime(
-                        format!("bool() is not defined for {}", v.type_name()),
-                        span,
-                    )
-                })?)
+                match self.classical(v)? {
+                    Value::Unknown(_) => Value::Unknown(Unknown::Bool),
+                    v => Value::Bool(v.as_bool().ok_or_else(|| {
+                        QutesError::runtime(
+                            format!("bool() is not defined for {}", v.type_name()),
+                            span,
+                        )
+                    })?),
+                }
             }
             "str" => {
                 arity(1)?;
                 let v = self.eval(&args[0])?;
-                let v = match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                    v => v,
-                };
-                Value::Str(v.to_string())
+                match self.classical(v)? {
+                    Value::Unknown(_) => Value::Unknown(Unknown::Str),
+                    v => Value::Str(v.to_string()),
+                }
             }
             "qmin" | "qmax" => {
                 // Dürr–Høyer quantum extremum over a classical database
@@ -1811,19 +2119,28 @@ impl Interp {
                 // register; inputs and output are classical.
                 arity(1)?;
                 let v = self.eval(&args[0])?;
-                let Value::Array(items) = v else {
-                    return Err(QutesError::runtime(
-                        format!("{name}() needs an int array, found {}", v.type_name()),
-                        span,
-                    ));
+                let items = match v {
+                    Value::Array(items) => items,
+                    Value::Unknown(_) => {
+                        self.note("qmin/qmax over a collection the estimator lost track of");
+                        return Ok(Some(Value::Unknown(Unknown::Int)));
+                    }
+                    v => {
+                        return Err(QutesError::runtime(
+                            format!("{name}() needs an int array, found {}", v.type_name()),
+                            span,
+                        ))
+                    }
                 };
                 let mut values = Vec::new();
+                let mut known = true;
                 for item in items.borrow().iter() {
                     let iv = item.borrow().clone();
-                    let iv = match iv {
-                        Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                        other => other,
-                    };
+                    let iv = self.classical(iv)?;
+                    if let Value::Unknown(_) = iv {
+                        known = false;
+                        continue;
+                    }
                     let Some(x) = iv.as_i64().filter(|&x| x >= 0) else {
                         return Err(QutesError::runtime(
                             format!("{name}() needs non-negative integers"),
@@ -1832,31 +2149,31 @@ impl Interp {
                     };
                     values.push(x as u64);
                 }
-                if values.is_empty() {
+                if values.is_empty() && known {
                     return Err(QutesError::runtime(
                         format!("{name}() of an empty array"),
                         span,
                     ));
                 }
-                let res = if name == "qmin" {
-                    qutes_algos::minmax::quantum_minimum(&values, self.handler.rng())
+                if known {
+                    self.dom.extremum(&values, name == "qmax")?
                 } else {
-                    qutes_algos::minmax::quantum_maximum(&values, self.handler.rng())
+                    Value::Unknown(Unknown::Int)
                 }
-                .map_err(QutesError::Circuit)?;
-                Value::Int(res.value as i64)
             }
             "rotl" | "rotr" => {
                 arity(2)?;
                 let q = self.eval_quantum_operand(&args[0], name)?;
-                let k = self
-                    .eval(&args[1])?
-                    .as_i64()
-                    .filter(|&k| k >= 0)
-                    .ok_or_else(|| {
+                let k = match self.eval(&args[1])? {
+                    Value::Unknown(_) => None,
+                    k => Some(k.as_i64().filter(|&k| k >= 0).ok_or_else(|| {
                         QutesError::runtime("rotation amount must be a non-negative integer", span)
-                    })?;
-                self.rotate_in_place(&q, k as usize, name == "rotl")?;
+                    })?),
+                };
+                match (q, k) {
+                    (Some(q), Some(k)) => self.rotate_in_place(&q, k as usize, name == "rotl")?,
+                    _ => self.note(UNKNOWN_SHIFT),
+                }
                 Value::Void
             }
             _ => return Ok(None),
@@ -1865,15 +2182,114 @@ impl Interp {
     }
 }
 
+/// Structural equality of two values as the fork's join sees it: arrays
+/// are equal when they are the same array (their element cells are
+/// compared on their own).
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Bool(x), Value::Bool(y)) => x == y,
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Float(x), Value::Float(y)) => x == y,
+        (Value::Str(x), Value::Str(y)) => x == y,
+        (Value::Quantum(x), Value::Quantum(y)) => x == y,
+        (Value::Array(x), Value::Array(y)) => Rc::ptr_eq(x, y),
+        (Value::Void, Value::Void) => true,
+        (Value::Unknown(x), Value::Unknown(y)) => x == y,
+        _ => false,
+    }
+}
+
 /// Best-effort runtime type of a value (for foreach bindings).
 fn runtime_type(v: &Value) -> Type {
     match v {
-        Value::Bool(_) => Type::Bool,
-        Value::Int(_) => Type::Int,
-        Value::Float(_) => Type::Float,
-        Value::Str(_) => Type::String,
+        Value::Bool(_) | Value::Unknown(Unknown::Bool) => Type::Bool,
+        Value::Int(_) | Value::Unknown(Unknown::Int | Unknown::Any) => Type::Int,
+        Value::Float(_) | Value::Unknown(Unknown::Float) => Type::Float,
+        Value::Str(_) | Value::Unknown(Unknown::Str) => Type::String,
         Value::Quantum(q) => q.kind.as_type(),
         Value::Array(_) => Type::Array(Box::new(Type::Int)),
         Value::Void => Type::Void,
     }
+}
+
+/// Syntactic set of variable names a statement list may write to
+/// (assignment targets and by-reference call arguments), used to forget
+/// state after loops whose trip count is unknown.
+fn assigned_names(stmts: &[Stmt]) -> Vec<String> {
+    fn add(out: &mut Vec<String>, n: &str) {
+        if !out.iter().any(|o| o == n) {
+            out.push(n.to_string());
+        }
+    }
+    fn walk_expr(e: &Expr, out: &mut Vec<String>) {
+        match &e.kind {
+            ExprKind::Call(_, args) => {
+                for a in args {
+                    if let ExprKind::Var(n) = &a.kind {
+                        add(out, n);
+                    }
+                    walk_expr(a, out);
+                }
+            }
+            ExprKind::Unary(_, inner) | ExprKind::MeasureExpr(inner) => walk_expr(inner, out),
+            ExprKind::Binary(_, l, r) | ExprKind::Index(l, r) => {
+                walk_expr(l, out);
+                walk_expr(r, out);
+            }
+            ExprKind::Array(items) | ExprKind::QuantumArray(items) => {
+                for i in items {
+                    walk_expr(i, out);
+                }
+            }
+            _ => {}
+        }
+    }
+    fn walk(stmts: &[Stmt], out: &mut Vec<String>) {
+        for s in stmts {
+            match s {
+                Stmt::Assign { target, value, .. } => {
+                    let (LValue::Name(n) | LValue::Index(n, _)) = target;
+                    add(out, n);
+                    walk_expr(value, out);
+                }
+                Stmt::If {
+                    cond,
+                    then_block,
+                    else_block,
+                    ..
+                } => {
+                    walk_expr(cond, out);
+                    walk(&then_block.stmts, out);
+                    if let Some(eb) = else_block {
+                        walk(&eb.stmts, out);
+                    }
+                }
+                Stmt::While { cond, body, .. } => {
+                    walk_expr(cond, out);
+                    walk(&body.stmts, out);
+                }
+                Stmt::Foreach { iterable, body, .. } => {
+                    walk_expr(iterable, out);
+                    walk(&body.stmts, out);
+                }
+                Stmt::VarDecl { init: Some(e), .. }
+                | Stmt::Return { value: Some(e), .. }
+                | Stmt::Print { value: e, .. }
+                | Stmt::Expr { expr: e, .. }
+                | Stmt::Measure { target: e, .. } => walk_expr(e, out),
+                Stmt::Gate { args, .. } => {
+                    for a in args {
+                        walk_expr(a, out);
+                    }
+                }
+                Stmt::Block(b) => walk(&b.stmts, out),
+                Stmt::VarDecl { init: None, .. }
+                | Stmt::Return { value: None, .. }
+                | Stmt::Barrier { .. } => {}
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(stmts, &mut out);
+    out
 }

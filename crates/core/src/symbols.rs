@@ -6,7 +6,7 @@
 //! information, including type and scope."
 
 use crate::value::{Cell, Value};
-use qutes_frontend::{Diagnostic, FunctionDecl, Span, Type};
+use qutes_frontend::{Diagnostic, FunctionDecl, Item, Program, Span, Type};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -21,10 +21,23 @@ pub struct Symbol {
     pub span: Span,
 }
 
-/// A stack of lexical scopes mapping names to symbols.
-#[derive(Default, Debug)]
+/// A stack of lexical scopes mapping names to symbols. Function calls
+/// open a frame: inside it only the global scope and the frame's own
+/// scopes are visible, but the caller's scopes stay in the table (so a
+/// fork of the whole environment sees them too).
+#[derive(Debug)]
 pub struct SymbolTable {
     scopes: Vec<HashMap<String, Symbol>>,
+    /// Index of the first scope of the innermost frame (1 at top level).
+    base: usize,
+    /// Saved `base` of every enclosing frame.
+    frames: Vec<usize>,
+}
+
+impl Default for SymbolTable {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SymbolTable {
@@ -32,6 +45,8 @@ impl SymbolTable {
     pub fn new() -> Self {
         SymbolTable {
             scopes: vec![HashMap::new()],
+            base: 1,
+            frames: Vec::new(),
         }
     }
 
@@ -82,21 +97,32 @@ impl SymbolTable {
     }
 
     /// Enters a function body: hides every scope above the global one
-    /// (callee code must not see caller locals). Returns the hidden
-    /// scopes; restore them with [`Self::exit_function`].
-    pub fn enter_function(&mut self) -> Vec<HashMap<String, Symbol>> {
-        self.scopes.split_off(1)
+    /// (callee code must not see caller locals) until the matching
+    /// [`Self::exit_function`].
+    pub fn enter_function(&mut self) {
+        self.frames.push(self.base);
+        self.base = self.scopes.len();
     }
 
-    /// Restores the scopes hidden by [`Self::enter_function`].
-    pub fn exit_function(&mut self, saved: Vec<HashMap<String, Symbol>>) {
-        self.scopes.truncate(1);
-        self.scopes.extend(saved);
+    /// Leaves the innermost function frame, dropping its scopes and
+    /// making the caller's scopes visible again.
+    pub fn exit_function(&mut self) {
+        self.scopes.truncate(self.base.max(1));
+        self.base = self.frames.pop().unwrap_or(1);
+    }
+
+    /// The visible scopes, innermost first.
+    fn visible_scopes(&self) -> impl Iterator<Item = &HashMap<String, Symbol>> {
+        let base = self.base.min(self.scopes.len());
+        self.scopes[base..]
+            .iter()
+            .rev()
+            .chain(self.scopes.first().filter(|_| base > 0))
     }
 
     /// Looks `name` up from the innermost scope outwards.
     pub fn lookup(&self, name: &str) -> Option<&Symbol> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+        self.visible_scopes().find_map(|s| s.get(name))
     }
 
     /// Shared handle to a variable's value cell.
@@ -104,43 +130,55 @@ impl SymbolTable {
         self.lookup(name).map(|s| Rc::clone(&s.value))
     }
 
-    /// Snapshot of every visible variable (inner shadows outer) — used by
-    /// the CLI's `--dump-vars` listing.
-    pub fn visible(&self) -> Vec<(String, Value)> {
-        let mut seen: HashMap<&str, &Symbol> = HashMap::new();
-        for scope in self.scopes.iter().rev() {
-            for (k, v) in scope {
-                seen.entry(k.as_str()).or_insert(v);
-            }
-        }
-        let mut out: Vec<(String, Value)> = seen
-            .into_iter()
-            .map(|(k, s)| (k.to_string(), s.value.borrow().clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+    /// Every cell reachable from the table — visible or hidden by a
+    /// function frame, through array elements too — each once.
+    pub fn reachable_cells(&self) -> Vec<Cell> {
+        let roots = self.scopes.iter().flat_map(|s| s.values());
+        collect_cells(roots.map(|s| Rc::clone(&s.value)).collect())
+    }
+
+    /// Every cell reachable from the visible scopes, each once.
+    pub fn visible_cells(&self) -> Vec<Cell> {
+        let roots = self.visible_scopes().flat_map(|s| s.values());
+        collect_cells(roots.map(|s| Rc::clone(&s.value)).collect())
     }
 }
 
-/// The function registry built by the first (declaration) pass.
-#[derive(Default, Debug, Clone)]
-pub struct FunctionTable {
-    functions: HashMap<String, Rc<FunctionDecl>>,
+/// The cells in `stack` plus every array element cell reachable from
+/// them, deduplicated by identity.
+fn collect_cells(mut stack: Vec<Cell>) -> Vec<Cell> {
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    while let Some(c) = stack.pop() {
+        if !seen.insert(Rc::as_ptr(&c)) {
+            continue;
+        }
+        if let Value::Array(items) = &*c.borrow() {
+            stack.extend(items.borrow().iter().cloned());
+        }
+        out.push(c);
+    }
+    out
 }
 
-impl FunctionTable {
+/// The function registry built by the first (declaration) pass. It
+/// borrows the declarations from the program being run.
+#[derive(Default, Debug, Clone)]
+pub struct FunctionTable<'p> {
+    functions: HashMap<&'p str, &'p FunctionDecl>,
+}
+
+impl<'p> FunctionTable<'p> {
     /// Builds the registry, rejecting duplicate names.
-    pub fn build(decls: &[&FunctionDecl]) -> Result<Self, Vec<Diagnostic>> {
+    pub fn build(decls: &[&'p FunctionDecl]) -> Result<Self, Vec<Diagnostic>> {
         let mut functions = HashMap::new();
         let mut diags = Vec::new();
         for &f in decls {
-            if functions.contains_key(&f.name) {
+            if functions.insert(f.name.as_str(), f).is_some() {
                 diags.push(Diagnostic::error(
                     format!("function '{}' is declared more than once", f.name),
                     f.span,
                 ));
-            } else {
-                functions.insert(f.name.clone(), Rc::new(f.clone()));
             }
         }
         if diags.is_empty() {
@@ -150,19 +188,22 @@ impl FunctionTable {
         }
     }
 
+    /// The registry of every function `program` declares.
+    pub fn of_program(program: &'p Program) -> Result<Self, Vec<Diagnostic>> {
+        let decls: Vec<&FunctionDecl> = program
+            .items
+            .iter()
+            .filter_map(|i| match i {
+                Item::Function(f) => Some(f),
+                _ => None,
+            })
+            .collect();
+        Self::build(&decls)
+    }
+
     /// Looks a function up by name.
-    pub fn get(&self, name: &str) -> Option<&Rc<FunctionDecl>> {
-        self.functions.get(name)
-    }
-
-    /// Number of registered functions.
-    pub fn len(&self) -> usize {
-        self.functions.len()
-    }
-
-    /// True when no functions are registered.
-    pub fn is_empty(&self) -> bool {
-        self.functions.is_empty()
+    pub fn get(&self, name: &str) -> Option<&'p FunctionDecl> {
+        self.functions.get(name).copied()
     }
 }
 
@@ -231,21 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn visible_snapshot_respects_shadowing() {
-        let mut t = SymbolTable::new();
-        t.declare("a", Type::Int, cell(Value::Int(1)), Span::default())
-            .unwrap();
-        t.push_scope();
-        t.declare("a", Type::Int, cell(Value::Int(2)), Span::default())
-            .unwrap();
-        t.declare("b", Type::Int, cell(Value::Int(3)), Span::default())
-            .unwrap();
-        let vis = t.visible();
-        assert_eq!(vis.len(), 2);
-        assert!(matches!(vis[0].1, Value::Int(2)));
-    }
-
-    #[test]
     fn function_table_rejects_duplicates() {
         let src = "int f() { return 1; }\nint f() { return 2; }";
         let program = parse(src).unwrap();
@@ -275,8 +301,6 @@ mod tests {
             })
             .collect();
         let t = FunctionTable::build(&decls).unwrap();
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
         assert!(t.get("f").is_some());
         assert!(t.get("g").is_none());
     }

@@ -72,6 +72,26 @@ pub enum Value {
     Array(Rc<RefCell<Vec<Cell>>>),
     /// Absence of a value (void returns).
     Void,
+    /// A value a static run cannot predict (a measurement outcome, or
+    /// state it lost track of). Only the resource estimator's domain
+    /// produces it; a real run never does.
+    Unknown(Unknown),
+}
+
+/// What a static run still knows about a [`Value::Unknown`]: its kind,
+/// or nothing at all ([`Unknown::Any`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unknown {
+    /// An unknown boolean.
+    Bool,
+    /// An unknown integer.
+    Int,
+    /// An unknown float.
+    Float,
+    /// An unknown string.
+    Str,
+    /// A value of unknown type (a classical value, array or register).
+    Any,
 }
 
 impl Value {
@@ -85,6 +105,7 @@ impl Value {
             Value::Quantum(q) => q.kind.as_type().to_string(),
             Value::Array(_) => "array".into(),
             Value::Void => "void".into(),
+            Value::Unknown(u) => format!("unknown {u:?}").to_lowercase(),
         }
     }
 
@@ -158,6 +179,7 @@ impl fmt::Display for Value {
                 write!(f, "]")
             }
             Value::Void => write!(f, "void"),
+            Value::Unknown(_) => write!(f, "<{}>", self.type_name()),
         }
     }
 }

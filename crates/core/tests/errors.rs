@@ -2,21 +2,15 @@
 //! positioned diagnostic (compile-time) or a descriptive runtime error —
 //! never a panic or silent misbehaviour.
 
-use qutes_core::{run_source, QutesError, RunConfig};
+use qutes_core::{run_program, run_source, QutesError, RunConfig};
 
 fn err(src: &str) -> QutesError {
     run_source(src, &RunConfig::default()).expect_err("program should fail")
 }
 
 fn err_no_typecheck(src: &str) -> QutesError {
-    run_source(
-        src,
-        &RunConfig {
-            skip_typecheck: true,
-            ..RunConfig::default()
-        },
-    )
-    .expect_err("program should fail")
+    let program = qutes_frontend::parse(src).expect("program parses");
+    run_program(&program, &RunConfig::default()).expect_err("program should fail")
 }
 
 fn compile_messages(src: &str) -> Vec<String> {
