@@ -3,7 +3,7 @@
 //!
 //! The estimator runs the runtime's own interpreter
 //! ([`qutes_core::interpret`]) over an abstract effect domain, the
-//! [`Shadow`] circuit. The interpreter lowers every quantum operation
+//! `Shadow` circuit. The interpreter lowers every quantum operation
 //! exactly as in a real run — the same casts, arithmetic, rotations and
 //! Grover oracles — but the shadow only records the gates: it never
 //! allocates a statevector and never samples, so every measurement

@@ -11,10 +11,12 @@
 //! 2. a declaration pass instantiates symbols ([`symbols`]),
 //! 3. the static type checker ([`types`]) enforces the §4 type system,
 //! 4. the operation pass ([`runtime`]) executes classical code natively
-//!    and lowers quantum operations through the
-//!    [`handler::QuantumCircuitHandler`] (accumulated circuit + live
-//!    statevector) with [`casting::TypeCastingHandler`] bridging the
-//!    classical/quantum boundary.
+//!    and lowers quantum operations through an effect [`Domain`] — in a
+//!    run the [`handler::QuantumCircuitHandler`] (accumulated circuit +
+//!    live statevector) — with [`casting::TypeCastingHandler`] bridging
+//!    the classical/quantum boundary. The resource estimator in
+//!    `qutes-analysis` runs the same interpreter ([`interpret`]) over a
+//!    shadow circuit.
 //!
 //! ```
 //! use qutes_core::{run_source, RunConfig};
@@ -44,7 +46,9 @@ pub use error::{QutesError, QutesResult};
 pub use handler::QuantumCircuitHandler;
 pub use lint::LintOptions;
 pub use qutes_supervisor::{Interrupt, StopReason};
-pub use runtime::{interpret, run_program, run_source, DegradePolicy, RunConfig, RunOutcome};
+pub use runtime::{
+    interpret, parse_checked, run_program, run_source, DegradePolicy, RunConfig, RunOutcome,
+};
 pub use symbols::{FunctionTable, Symbol, SymbolTable};
 pub use types::{assignable, check_program, measured};
 pub use value::{QKind, QuantumRef, Unknown, Value};

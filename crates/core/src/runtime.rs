@@ -193,20 +193,24 @@ pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
         qutes_obs::set_enabled(true);
     }
     let intr = config.effective_interrupt();
-    let program = match parse_with_interrupt(source, &intr) {
+    let program = parse_checked(source, &intr)?;
+    run_supervised(&program, config, &intr)
+}
+
+/// Parses and type-checks `source`, observing `intr`.
+pub fn parse_checked(source: &str, intr: &Interrupt) -> QutesResult<Program> {
+    let program = match parse_with_interrupt(source, intr) {
         Ok(p) => p,
         Err(ParseFailure::Diagnostics(ds)) => return Err(QutesError::Compile(ds)),
         Err(ParseFailure::Interrupted(reason)) => return Err(QutesError::Interrupted(reason)),
     };
-    {
-        let _span = qutes_obs::span("stage.typecheck");
-        intr.check()?;
-        let diags = types::check_program(&program);
-        if !diags.is_empty() {
-            return Err(QutesError::Compile(diags));
-        }
+    let _span = qutes_obs::span("stage.typecheck");
+    intr.check()?;
+    let diags = types::check_program(&program);
+    if !diags.is_empty() {
+        return Err(QutesError::Compile(diags));
     }
-    run_supervised(&program, config, &intr)
+    Ok(program)
 }
 
 /// Runs an already-parsed program, without type-checking it.
@@ -1932,7 +1936,7 @@ impl<D: Domain> Interp<'_, '_, D> {
         // Bind arguments. Plain-variable arguments of matching type are
         // passed **by reference** (shared cell, paper §4); everything else
         // is evaluated and coerced into a fresh cell.
-        let mut bindings: Vec<(String, Type, Cell)> = Vec::with_capacity(args.len());
+        let mut bindings: Vec<(&str, &Type, Cell)> = Vec::with_capacity(args.len());
         for (a, p) in args.iter().zip(&decl.params) {
             let bound = match &a.kind {
                 ExprKind::Var(var_name) => self
@@ -1950,7 +1954,7 @@ impl<D: Domain> Interp<'_, '_, D> {
                     cell(v)
                 }
             };
-            bindings.push((p.name.clone(), p.ty.clone(), c));
+            bindings.push((&p.name, &p.ty, c));
         }
         // Execute the body with caller locals hidden: only globals and the
         // parameters are visible inside a function.
@@ -1968,7 +1972,7 @@ impl<D: Domain> Interp<'_, '_, D> {
         self.symbols.enter_function();
         self.symbols.push_scope();
         for (pname, pty, c) in bindings {
-            self.symbols.bind(&pname, pty, c, decl.span);
+            self.symbols.bind(pname, pty.clone(), c, decl.span);
         }
         let flow = self.exec_stmts(&decl.body.stmts);
         self.symbols.exit_function();

@@ -114,10 +114,7 @@ impl SymbolTable {
     /// The visible scopes, innermost first.
     fn visible_scopes(&self) -> impl Iterator<Item = &HashMap<String, Symbol>> {
         let base = self.base.min(self.scopes.len());
-        self.scopes[base..]
-            .iter()
-            .rev()
-            .chain(self.scopes.first().filter(|_| base > 0))
+        self.scopes[base..].iter().rev().chain(self.scopes.first())
     }
 
     /// Looks `name` up from the innermost scope outwards.

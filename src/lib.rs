@@ -138,19 +138,7 @@ fn pipeline(source: &str, config: &RunConfig, run: &mut PipelineRun) -> QutesRes
     // and costs one OnceLock read.
     analysis::install_optimizer_guard();
     let intr = config.effective_interrupt();
-    let program = match frontend::parse_with_interrupt(source, &intr) {
-        Ok(p) => p,
-        Err(frontend::ParseFailure::Diagnostics(ds)) => return Err(QutesError::Compile(ds)),
-        Err(frontend::ParseFailure::Interrupted(r)) => return Err(QutesError::Interrupted(r)),
-    };
-    {
-        let _span = obs::span("stage.typecheck");
-        intr.check()?;
-        let diags = core::check_program(&program);
-        if !diags.is_empty() {
-            return Err(QutesError::Compile(diags));
-        }
-    }
+    let program = core::parse_checked(source, &intr)?;
     if config.lint.enabled {
         let _stage = qutes_supervisor::enter_stage("facade.lint");
         let report = run.lint.insert(analysis::analyze(&program, &config.lint));
