@@ -128,8 +128,7 @@ pub fn estimate(program: &Program) -> ResourceEstimate {
         // regardless of where estimation stopped (e.g. measurement-
         // terminated branches or unbounded while loops in an otherwise
         // Clifford program).
-        shadow.clifford_only =
-            shadow.clifford_only && crate::domains::syntactic::program_is_clifford(program);
+        shadow.non_clifford |= !crate::domains::syntactic::program_is_clifford(program);
     }
     ResourceEstimate {
         qubits: shadow.circ.num_qubits() + shadow.slack.qubits,
@@ -137,7 +136,7 @@ pub fn estimate(program: &Program) -> ResourceEstimate {
         depth: shadow.circ.depth() + shadow.slack.depth,
         measurements: shadow.measurements + shadow.slack.measurements,
         exact: shadow.notes.is_empty(),
-        clifford_only: shadow.clifford_only,
+        clifford_only: !shadow.non_clifford,
         notes: shadow.notes,
     }
 }
@@ -148,28 +147,16 @@ const MAX_STEPS: u64 = 200_000;
 
 /// The estimator's effect domain: a circuit that records gates without
 /// simulating them, plus the slack and notes of every imprecise step.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct Shadow {
     circ: QuantumCircuit,
     free: Vec<usize>,
     measurements: usize,
-    clifford_only: bool,
+    /// Some gate either world recorded is not Clifford.
+    non_clifford: bool,
     /// Why the estimate is inexact (empty while it is exact).
     notes: Vec<String>,
     slack: Slack,
-}
-
-impl Default for Shadow {
-    fn default() -> Self {
-        Shadow {
-            circ: QuantumCircuit::new(),
-            free: Vec::new(),
-            measurements: 0,
-            clifford_only: true,
-            notes: Vec::new(),
-            slack: Slack::default(),
-        }
-    }
 }
 
 impl Shadow {
@@ -228,9 +215,7 @@ impl Domain for Shadow {
         if self.circ.len() >= MAX_SHADOW_GATES {
             return Err(give_up());
         }
-        if !gate.is_clifford() {
-            self.clifford_only = false;
-        }
+        self.non_clifford |= !gate.is_clifford();
         Ok(self.circ.append(gate)?)
     }
 
@@ -288,7 +273,7 @@ impl Domain for Shadow {
     fn join(&mut self, other: Self, envs_agree: bool) -> Merge {
         // A non-Clifford gate on *either* path poisons the Clifford claim
         // — the discarded world's gates survive only as slack counts.
-        let clifford_both = self.clifford_only && other.clifford_only;
+        let non_clifford = self.non_clifford || other.non_clifford;
         let same_world = envs_agree
             && self.circ.ops() == other.circ.ops()
             && self.circ.num_qubits() == other.circ.num_qubits()
@@ -329,7 +314,7 @@ impl Domain for Shadow {
         for n in &dropped.notes {
             self.note(n);
         }
-        self.clifford_only = clifford_both;
+        self.non_clifford = non_clifford;
         merge
     }
 }

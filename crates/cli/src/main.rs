@@ -426,11 +426,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Debug/CI builds validate every optimizer rewrite in-line; release
-    // builds never consult the validator (zero overhead — see
-    // docs/verification.md). Installing is idempotent.
-    qutes_analysis::install_optimizer_guard();
-
     match cmd.as_str() {
         "run" => {
             let cfg = RunConfig {
