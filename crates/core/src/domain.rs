@@ -42,9 +42,9 @@ pub enum Merge {
     KeptOther,
 }
 
-/// The effects the interpreter delegates. Methods with defaults are the
-/// abstract domain's hooks; a real run never reaches them, because its
-/// values are always known.
+/// The effects the interpreter delegates. [`Self::imprecise`],
+/// [`Self::split`] and [`Self::join`] serve the abstract domain only; a
+/// real run never reaches them, because its values are always known.
 pub trait Domain: Sized {
     /// Errors when `extra` more qubits would not fit.
     fn check_capacity(&self, extra: usize, what: &str) -> QutesResult<()>;
