@@ -1403,28 +1403,33 @@ impl<D: Domain> Interp<'_, '_, D> {
                 self.dom.apply_fragment(&diffusion)?;
             }
             // Reset the (collapsed) position register to |0> so the next
-            // round can re-prepare it.
-            let Some(bits) = self.dom.measure_bits(&pos)? else {
-                for &pq in &pos {
-                    self.dom.apply(Gate::X(pq))?;
+            // round can re-prepare it, then verify the candidate window.
+            match self.dom.measure_bits(&pos)? {
+                Some(bits) => {
+                    for (&b, &pq) in bits.iter().zip(&pos) {
+                        if b {
+                            self.dom.apply(Gate::X(pq))?;
+                        }
+                    }
+                    let candidate = pack_bits(&bits) as usize;
+                    if candidate < positions {
+                        let window: Vec<usize> =
+                            (0..m).map(|j| hay.qubits[candidate + j]).collect();
+                        let observed = self.dom.measure_bits(&window)?;
+                        if observed.is_some_and(|o| o == pattern) {
+                            self.dom.release_ancillas(&pos);
+                            return Ok(Value::Bool(true));
+                        }
+                    }
                 }
-                self.dom.measure_bits(&hay.qubits[..m])?;
-                outcome = Value::Unknown(Unknown::Bool);
-                bound = (bound * 1.3).min(sqrt_n.max(1.0));
-                continue;
-            };
-            for (&b, &pq) in bits.iter().zip(&pos) {
-                if b {
-                    self.dom.apply(Gate::X(pq))?;
-                }
-            }
-            let candidate = pack_bits(&bits) as usize;
-            if candidate < positions {
-                let window: Vec<usize> = (0..m).map(|j| hay.qubits[candidate + j]).collect();
-                let observed = self.dom.measure_bits(&window)?;
-                if observed.is_some_and(|o| o == pattern) {
-                    self.dom.release_ancillas(&pos);
-                    return Ok(Value::Bool(true));
+                // Unknown candidate: every position bit may need its reset,
+                // and some window is always verified.
+                None => {
+                    for &pq in &pos {
+                        self.dom.apply(Gate::X(pq))?;
+                    }
+                    self.dom.measure_bits(&hay.qubits[..m])?;
+                    outcome = Value::Unknown(Unknown::Bool);
                 }
             }
             bound = (bound * 1.3).min(sqrt_n.max(1.0));
