@@ -13,6 +13,14 @@
 //!   backend is the dense statevector by default; Clifford-only
 //!   programs can run on the stabilizer tableau instead, lifting the
 //!   qubit ceiling from ~28 to thousands (see `docs/backends.md`).
+//!
+//! A gate statement reaches the backend as a run of one gate; a library
+//! fragment (Grover oracle, diffusion, state preparation, arithmetic) is
+//! logged gate by gate and then handed over whole, as one run. On the
+//! statevector engine a run absorbs its X gates into a Pauli-X frame
+//! (`qutes_qcirc::execute::apply_run`), so the X conjugations that make
+//! up most of an oracle cost no sweeps of the state. The logged circuit
+//! and the `gate.*` counters are the same either way.
 
 use crate::domain::Domain;
 use crate::error::{QutesError, QutesResult};
@@ -148,6 +156,25 @@ impl QuantumCircuitHandler {
         self.measurements
     }
 
+    /// Applies a run of gates already appended to the circuit to the live
+    /// backend.
+    fn apply_logged(&mut self, run: &[Gate]) -> QutesResult<()> {
+        // Keep the live classical bits in step with the circuit: a gate
+        // referencing a creg added since the last measure would otherwise
+        // index past the end.
+        self.clbits.resize(self.circuit.num_clbits(), false);
+        // Inline simulation happens run by run during interpretation, so
+        // it is aggregated into the `stage.simulate` timer rather than
+        // opening one span per run.
+        let t0 = qutes_obs::maybe_now();
+        self.backend
+            .apply(run, &mut self.clbits, &mut self.rng, self.noise.as_ref())?;
+        if let Some(t0) = t0 {
+            qutes_obs::record_duration("stage.simulate", t0.elapsed());
+        }
+        Ok(())
+    }
+
     /// Bumps the capacity-refusal counters, tagged with the backend that
     /// was attempted.
     fn record_refusal(&self, kind: BackendKind) {
@@ -209,23 +236,22 @@ impl Domain for QuantumCircuitHandler {
     }
 
     /// Appends a unitary gate to the circuit and applies it to the live
-    /// state (with trajectory noise when a fault model is active).
+    /// state (with trajectory noise when a fault model is active), as a
+    /// run of one gate.
     fn apply(&mut self, gate: Gate) -> QutesResult<()> {
         self.circuit.append(gate.clone())?;
-        // Keep the live classical bits in step with the circuit: a gate
-        // referencing a creg added since the last measure would otherwise
-        // index past the end.
-        self.clbits.resize(self.circuit.num_clbits(), false);
-        // Inline simulation happens gate-by-gate during interpretation, so
-        // it is aggregated into the `stage.simulate` timer rather than
-        // opening one span per gate.
-        let t0 = qutes_obs::maybe_now();
-        self.backend
-            .apply(&gate, &mut self.clbits, &mut self.rng, self.noise.as_ref())?;
-        if let Some(t0) = t0 {
-            qutes_obs::record_duration("stage.simulate", t0.elapsed());
+        self.apply_logged(std::slice::from_ref(&gate))
+    }
+
+    /// Appends every instruction of a fragment (on global indices) to
+    /// the circuit, then hands the whole fragment to the backend as one
+    /// run, so the X conjugations inside oracles and diffusions cost no
+    /// sweeps (see `qutes_qcirc::execute::apply_run`).
+    fn apply_fragment(&mut self, fragment: &QuantumCircuit) -> QutesResult<()> {
+        for g in fragment.ops() {
+            self.circuit.append(g.clone())?;
         }
-        Ok(())
+        self.apply_logged(fragment.ops())
     }
 
     /// Acquires `n` clean (`|0>`) work qubits, reusing previously released
@@ -284,12 +310,7 @@ impl Domain for QuantumCircuitHandler {
             // Readout error (when modelled) is applied inside: the live
             // state collapses to the true outcome, the classical bit may
             // report the flipped one — exactly a readout fault.
-            let t0 = qutes_obs::maybe_now();
-            self.backend
-                .apply(&gate, &mut self.clbits, &mut self.rng, self.noise.as_ref())?;
-            if let Some(t0) = t0 {
-                qutes_obs::record_duration("stage.simulate", t0.elapsed());
-            }
+            self.apply_logged(std::slice::from_ref(&gate))?;
             bits.push(self.clbits[creg.bit(k)]);
         }
         Ok(Some(bits))

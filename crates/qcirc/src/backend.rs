@@ -31,7 +31,7 @@
 //! ```
 
 use crate::error::{CircError, CircResult};
-use crate::execute::{apply_gate_noisy, apply_gate_tableau};
+use crate::execute::{apply_gate_tableau, apply_run};
 use crate::gate::Gate;
 use crate::QuantumCircuit;
 use qutes_sim::tableau::{Tableau, TABLEAU_MAX_QUBITS};
@@ -194,15 +194,17 @@ pub fn resolve(
     }
 }
 
-/// A live quantum-state engine driven gate-by-gate.
+/// A live quantum-state engine driven one run of gates at a time.
 ///
 /// This is the seam the core runtime's `QuantumCircuitHandler` builds
 /// on: the interpreter allocates registers, applies gates, measures, and
-/// samples against this trait without knowing the representation. Both
-/// implementations route through the exact same code paths as whole-
-/// circuit execution ([`apply_gate_noisy`] / [`apply_gate_tableau`]), so
-/// per-gate interpretation and shot replay stay behaviourally identical
-/// — including RNG-stream order on the statevector engine.
+/// samples against this trait without knowing the representation. The
+/// statevector engine applies each run with [`apply_run`], which absorbs
+/// X gates into a Pauli-X frame and settles it before anything reads the
+/// state; the tableau engine applies the run gate by gate with
+/// [`apply_gate_tableau`]. Either way the result equals gate-by-gate
+/// whole-circuit execution — including RNG-stream order on the
+/// statevector engine.
 pub trait Backend {
     /// Which engine this is.
     fn kind(&self) -> BackendKind;
@@ -213,12 +215,13 @@ pub trait Backend {
     /// Appends `extra` fresh `|0⟩` qubits at the top indices.
     fn grow(&mut self, extra: usize) -> CircResult<()>;
 
-    /// Applies one instruction, updating classical bits on measurement.
-    /// `noise` is a per-gate trajectory fault model; the tableau engine
-    /// rejects it (auto-dispatch never routes noisy runs here).
+    /// Applies a run of instructions in order, updating classical bits
+    /// on measurement. `noise` is a per-gate trajectory fault model; the
+    /// tableau engine rejects it (auto-dispatch never routes noisy runs
+    /// here).
     fn apply(
         &mut self,
-        gate: &Gate,
+        run: &[Gate],
         clbits: &mut [bool],
         rng: &mut StdRng,
         noise: Option<&NoiseModel>,
@@ -281,12 +284,12 @@ impl Backend for StatevectorBackend {
 
     fn apply(
         &mut self,
-        gate: &Gate,
+        run: &[Gate],
         clbits: &mut [bool],
         rng: &mut StdRng,
         noise: Option<&NoiseModel>,
     ) -> CircResult<()> {
-        apply_gate_noisy(&mut self.state, clbits, gate, rng, noise)
+        apply_run(&mut self.state, clbits, run, rng, noise)
     }
 
     fn probability_one(&mut self, qubit: usize) -> CircResult<f64> {
@@ -349,7 +352,7 @@ impl Backend for TableauBackend {
 
     fn apply(
         &mut self,
-        gate: &Gate,
+        run: &[Gate],
         clbits: &mut [bool],
         rng: &mut StdRng,
         noise: Option<&NoiseModel>,
@@ -362,7 +365,8 @@ impl Backend for TableauBackend {
                     .to_string(),
             });
         }
-        apply_gate_tableau(&mut self.tab, clbits, gate, rng)
+        run.iter()
+            .try_for_each(|g| apply_gate_tableau(&mut self.tab, clbits, g, rng))
     }
 
     fn probability_one(&mut self, qubit: usize) -> CircResult<f64> {
@@ -479,16 +483,15 @@ mod tests {
         for b in [&mut sv as &mut dyn Backend, &mut tb as &mut dyn Backend] {
             b.grow(2).unwrap();
         }
-        for g in [
+        let run = [
             Gate::H(0),
             Gate::CX {
                 control: 0,
                 target: 1,
             },
-        ] {
-            sv.apply(&g, &mut cl_a, &mut rng_a, None).unwrap();
-            tb.apply(&g, &mut cl_b, &mut rng_b, None).unwrap();
-        }
+        ];
+        sv.apply(&run, &mut cl_a, &mut rng_a, None).unwrap();
+        tb.apply(&run, &mut cl_b, &mut rng_b, None).unwrap();
         for q in 0..2 {
             let a = sv.probability_one(q).unwrap();
             let b = tb.probability_one(q).unwrap();
@@ -503,7 +506,9 @@ mod tests {
         let mut tb = TableauBackend::new().unwrap();
         tb.grow(1).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let err = tb.apply(&Gate::T(0), &mut [], &mut rng, None).unwrap_err();
+        let err = tb
+            .apply(&[Gate::T(0)], &mut [], &mut rng, None)
+            .unwrap_err();
         assert!(matches!(err, CircError::BackendUnsupported { .. }), "{err}");
     }
 }

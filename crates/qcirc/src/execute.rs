@@ -24,6 +24,14 @@
 //! assert!((sv.probability_one(0).unwrap() - 0.5).abs() < 1e-12);
 //! ```
 //!
+//! The live runtime applies gates to a long-lived state with
+//! [`apply_run`], one run (a gate, or a whole library fragment) at a
+//! time: inside a run, X gates are absorbed into a Pauli-X frame rather
+//! than swept through the state, and the frame is settled before any
+//! instruction that needs the logical amplitudes and at the end of the
+//! run, bit-exactly matching [`apply_gate_noisy`] gate by gate. Shot
+//! replay still applies one gate at a time.
+//!
 //! The hardened entry points [`run_shots_cfg`] / [`run_once_cfg`] take an
 //! [`ExecutionConfig`] adding a seed, an optional Monte-Carlo
 //! [`NoiseModel`] (the fast path is disabled whenever noise is actually
@@ -40,7 +48,7 @@ use crate::circuit::QuantumCircuit;
 use crate::error::{CircError, CircResult};
 use crate::gate::Gate;
 use qutes_sim::tableau::Tableau;
-use qutes_sim::{gates, measure, NoiseModel, StateVector};
+use qutes_sim::{gates, measure, Matrix2, NoiseModel, StateVector};
 use qutes_supervisor::{failpoint, Interrupt, StopReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -394,9 +402,8 @@ pub fn apply_gate<R: Rng + ?Sized>(
 
 /// Like [`apply_gate`], but threading an optional noise model: unitary
 /// gates get post-gate trajectory noise, measurements get readout
-/// flips, and conditionals propagate the model into their body. Used by
-/// the core runtime's live-state handler, which applies gates one at a
-/// time rather than through [`run_shots_cfg`].
+/// flips, and conditionals propagate the model into their body. This is
+/// the gate-by-gate behaviour [`apply_run`] reproduces bit for bit.
 pub fn apply_gate_noisy<R: Rng + ?Sized>(
     state: &mut StateVector,
     clbits: &mut [bool],
@@ -430,10 +437,7 @@ fn check_clbit(clbits: &[bool], clbit: usize) -> CircResult<()> {
 /// [`statevector`] (always starting from `|0…0>`) cannot provide.
 pub fn apply_deterministic(state: &mut StateVector, g: &Gate) -> CircResult<()> {
     match g {
-        Gate::GlobalPhase(t) => {
-            state.apply_global_phase(*t);
-            Ok(())
-        }
+        Gate::GlobalPhase(t) => Ok(state.apply_global_phase(*t)?),
         Gate::Barrier(_) => Ok(()),
         _ => apply_unitary(state, g),
     }
@@ -444,48 +448,12 @@ pub fn apply_deterministic(state: &mut StateVector, g: &Gate) -> CircResult<()> 
 /// elsewhere; this function handles every remaining arm.
 fn apply_unitary(state: &mut StateVector, g: &Gate) -> CircResult<()> {
     use Gate::*;
+    if let Some(applied) = apply_controlled_gate(state, g, 0) {
+        return Ok(applied?);
+    }
     match g {
-        H(q) => state.apply_single(&gates::h(), *q)?,
-        X(q) => state.apply_single(&gates::x(), *q)?,
-        Y(q) => state.apply_single(&gates::y(), *q)?,
-        Z(q) => state.apply_single(&gates::z(), *q)?,
-        S(q) => state.apply_single(&gates::s(), *q)?,
-        Sdg(q) => state.apply_single(&gates::sdg(), *q)?,
-        T(q) => state.apply_single(&gates::t(), *q)?,
-        Tdg(q) => state.apply_single(&gates::tdg(), *q)?,
-        SX(q) => state.apply_single(&gates::sx(), *q)?,
-        SXdg(q) => state.apply_single(&gates::sx().adjoint(), *q)?,
-        Phase { target, lambda } => state.apply_single(&gates::phase(*lambda), *target)?,
-        RX { target, theta } => state.apply_single(&gates::rx(*theta), *target)?,
-        RY { target, theta } => state.apply_single(&gates::ry(*theta), *target)?,
-        RZ { target, theta } => state.apply_single(&gates::rz(*theta), *target)?,
-        U {
-            target,
-            theta,
-            phi,
-            lambda,
-        } => state.apply_single(&gates::u(*theta, *phi, *lambda), *target)?,
-        CX { control, target } => state.apply_controlled(&gates::x(), &[*control], *target)?,
-        CY { control, target } => state.apply_controlled(&gates::y(), &[*control], *target)?,
-        CZ { control, target } => state.apply_controlled(&gates::z(), &[*control], *target)?,
-        CPhase {
-            control,
-            target,
-            lambda,
-        } => state.apply_controlled(&gates::phase(*lambda), &[*control], *target)?,
-        CCX { c0, c1, target } => state.apply_controlled(&gates::x(), &[*c0, *c1], *target)?,
-        MCX { controls, target } => state.apply_controlled(&gates::x(), controls, *target)?,
-        MCPhase {
-            controls,
-            target,
-            lambda,
-        } => state.apply_controlled(&gates::phase(*lambda), controls, *target)?,
         Swap { a, b } => state.apply_swap(*a, *b)?,
         CSwap { control, a, b } => state.apply_controlled_swap(&[*control], *a, *b)?,
-        Unitary { target, matrix } => {
-            qutes_obs::counter_add("kernel.fused_unitary", 1);
-            state.apply_single(matrix, *target)?;
-        }
         Unitary2 { q0, q1, matrix } => {
             qutes_obs::counter_add("kernel.fused_unitary", 1);
             state.apply_two_fused(matrix, *q0, *q1)?;
@@ -494,9 +462,162 @@ fn apply_unitary(state: &mut StateVector, g: &Gate) -> CircResult<()> {
             qutes_obs::counter_add("kernel.fused_unitary", 1);
             state.apply_three(matrix, *q0, *q1, *q2)?;
         }
-        Measure { .. } | Reset(_) | Barrier(_) | Conditional { .. } | GlobalPhase(_) => {
-            return Err(CircError::NonUnitary(g.name()));
+        _ => return Err(CircError::NonUnitary(g.name())),
+    }
+    Ok(())
+}
+
+/// Applies `g` with the controlled kernel when it is one of the gates
+/// that kernel serves — every one-qubit gate (the fused `Unitary`
+/// included) and CX/CY/CZ/CPhase/CCX/MCX/MCPhase — on a state held under
+/// the Pauli-X frame `frame` (see [`apply_run`]; `0` is no frame).
+/// Returns `None`, touching nothing, for every other instruction.
+fn apply_controlled_gate(
+    state: &mut StateVector,
+    g: &Gate,
+    frame: usize,
+) -> Option<qutes_sim::SimResult<()>> {
+    use Gate::*;
+    let mut apply = |m: &Matrix2, controls: &[usize], target: usize| {
+        let m = if in_frame(frame, target) {
+            let [[m00, m01], [m10, m11]] = m.m;
+            Matrix2::new(m11, m10, m01, m00)
+        } else {
+            *m
+        };
+        state.apply_controlled_polarity(&m, controls, target, frame)
+    };
+    Some(match g {
+        H(q) => apply(&gates::h(), &[], *q),
+        X(q) => apply(&gates::x(), &[], *q),
+        Y(q) => apply(&gates::y(), &[], *q),
+        Z(q) => apply(&gates::z(), &[], *q),
+        S(q) => apply(&gates::s(), &[], *q),
+        Sdg(q) => apply(&gates::sdg(), &[], *q),
+        T(q) => apply(&gates::t(), &[], *q),
+        Tdg(q) => apply(&gates::tdg(), &[], *q),
+        SX(q) => apply(&gates::sx(), &[], *q),
+        SXdg(q) => apply(&gates::sx().adjoint(), &[], *q),
+        Phase { target, lambda } => apply(&gates::phase(*lambda), &[], *target),
+        RX { target, theta } => apply(&gates::rx(*theta), &[], *target),
+        RY { target, theta } => apply(&gates::ry(*theta), &[], *target),
+        RZ { target, theta } => apply(&gates::rz(*theta), &[], *target),
+        U {
+            target,
+            theta,
+            phi,
+            lambda,
+        } => apply(&gates::u(*theta, *phi, *lambda), &[], *target),
+        Unitary { target, matrix } => {
+            qutes_obs::counter_add("kernel.fused_unitary", 1);
+            apply(matrix, &[], *target)
         }
+        CX { control, target } => apply(&gates::x(), &[*control], *target),
+        CY { control, target } => apply(&gates::y(), &[*control], *target),
+        CZ { control, target } => apply(&gates::z(), &[*control], *target),
+        CPhase {
+            control,
+            target,
+            lambda,
+        } => apply(&gates::phase(*lambda), &[*control], *target),
+        CCX { c0, c1, target } => apply(&gates::x(), &[*c0, *c1], *target),
+        MCX { controls, target } => apply(&gates::x(), controls, *target),
+        MCPhase {
+            controls,
+            target,
+            lambda,
+        } => apply(&gates::phase(*lambda), controls, *target),
+        _ => return None,
+    })
+}
+
+/// Whether qubit `q` is flipped in the Pauli-X frame `frame`.
+fn in_frame(frame: usize, q: usize) -> bool {
+    u32::try_from(q)
+        .ok()
+        .and_then(|shift| frame.checked_shr(shift))
+        .is_some_and(|bits| bits & 1 == 1)
+}
+
+/// Applies a run of instructions to the live state, updating classical
+/// bits. The result is that of [`apply_gate_noisy`] on each gate in
+/// turn — the same amplitudes (a `-0.0` may read `+0.0`), the same
+/// classical bits and the same RNG draws — but X gates cost no sweep.
+///
+/// Inside the run, `X(q)` only toggles bit `q` of a **Pauli-X frame**,
+/// an xor mask over basis indices: the amplitude of logical basis state
+/// `i` is stored at `i ^ frame`. One-qubit and controlled gates apply
+/// straight through the frame: a flipped control fires on `|0>`, and a
+/// flipped target takes `X·M·X`, whose entries are those of `M` swapped,
+/// so each new amplitude is the same two products summed in the other
+/// order. Every
+/// other instruction — measure, reset, conditional, swap/cswap,
+/// `Unitary2`/`Unitary3`, global phase, barrier — and every noise step
+/// that touches the state first settles the frame with one
+/// [`StateVector::flip_bits`] pass, then runs the gate-by-gate code. The
+/// frame is settled at the end of the run too (also after an error), so
+/// no caller ever sees it. A run that undoes its own X conjugations, as
+/// Grover oracles and diffusions do, ends with an empty frame and never
+/// settles.
+///
+/// `gate.*` counters count every instruction; `kernel.frame_x` counts
+/// the X gates the frame absorbed.
+pub fn apply_run<R: Rng + ?Sized>(
+    state: &mut StateVector,
+    clbits: &mut [bool],
+    run: &[Gate],
+    rng: &mut R,
+    noise: Option<&NoiseModel>,
+) -> CircResult<()> {
+    let noise = noise.filter(|nm| !nm.is_noiseless());
+    let mut frame = 0usize;
+    let mut result = Ok(());
+    for g in run {
+        result = apply_in_frame(state, clbits, g, rng, noise, &mut frame);
+        if result.is_err() {
+            break;
+        }
+    }
+    let settled = settle(state, &mut frame);
+    result.and(settled.map_err(CircError::from))
+}
+
+/// Moves the amplitudes to where the frame says they belong and clears
+/// the frame.
+fn settle(state: &mut StateVector, frame: &mut usize) -> qutes_sim::SimResult<()> {
+    state.flip_bits(std::mem::take(frame))
+}
+
+/// One instruction of [`apply_run`].
+fn apply_in_frame<R: Rng + ?Sized>(
+    state: &mut StateVector,
+    clbits: &mut [bool],
+    g: &Gate,
+    rng: &mut R,
+    noise: Option<&NoiseModel>,
+    frame: &mut usize,
+) -> CircResult<()> {
+    if let Gate::X(q) = g {
+        if *q >= state.num_qubits() {
+            return Err(qutes_sim::SimError::QubitOutOfRange {
+                qubit: *q,
+                num_qubits: state.num_qubits(),
+            }
+            .into());
+        }
+        qutes_obs::counter_add(g.counter_name(), 1);
+        qutes_obs::counter_add("kernel.frame_x", 1);
+        *frame ^= 1 << q;
+    } else {
+        let Some(applied) = apply_controlled_gate(state, g, *frame) else {
+            settle(state, frame)?;
+            return apply_gate_full(state, clbits, g, rng, noise, &mut GateBudget::unlimited());
+        };
+        qutes_obs::counter_add(g.counter_name(), 1);
+        applied?;
+    }
+    if let Some(nm) = noise {
+        nm.apply_gate_noise_settled(state, &g.qubits(), rng, |s| settle(s, frame))?;
     }
     Ok(())
 }
@@ -535,7 +656,7 @@ fn apply_gate_full<R: Rng + ?Sized>(
                 apply_gate_full(state, clbits, gate, rng, noise, budget)?;
             }
         }
-        Gate::GlobalPhase(t) => state.apply_global_phase(*t),
+        Gate::GlobalPhase(t) => state.apply_global_phase(*t)?,
         _ => {
             apply_unitary(state, g)?;
             if let Some(nm) = noise {

@@ -151,6 +151,25 @@ impl NoiseModel {
         qubits: &[usize],
         rng: &mut R,
     ) -> SimResult<()> {
+        self.apply_gate_noise_settled(state, qubits, rng, |_| Ok(()))
+    }
+
+    /// [`Self::apply_gate_noise`], calling `settle` on the state right
+    /// before each fault or damping step reads or writes it, and never
+    /// when no channel touches the state. The randomness drawn is the
+    /// same. A caller holding deferred work on the state (the execution
+    /// layer's Pauli-X frame) completes it there.
+    pub fn apply_gate_noise_settled<R, F>(
+        &self,
+        state: &mut StateVector,
+        qubits: &[usize],
+        rng: &mut R,
+        mut settle: F,
+    ) -> SimResult<()>
+    where
+        R: Rng + ?Sized,
+        F: FnMut(&mut StateVector) -> SimResult<()>,
+    {
         let depol = if qubits.len() <= 1 {
             self.depolarizing_1q
         } else {
@@ -159,10 +178,12 @@ impl NoiseModel {
         for &q in qubits {
             if self.bit_flip > 0.0 && rng.random::<f64>() < self.bit_flip {
                 qutes_obs::counter_add("noise.faults.bit_flip", 1);
+                settle(state)?;
                 state.apply_single(&gates::x(), q)?;
             }
             if self.phase_flip > 0.0 && rng.random::<f64>() < self.phase_flip {
                 qutes_obs::counter_add("noise.faults.phase_flip", 1);
+                settle(state)?;
                 state.apply_single(&gates::z(), q)?;
             }
             if depol > 0.0 && rng.random::<f64>() < depol {
@@ -172,9 +193,11 @@ impl NoiseModel {
                     1 => gates::y(),
                     _ => gates::z(),
                 };
+                settle(state)?;
                 state.apply_single(&pauli, q)?;
             }
             if self.amplitude_damping > 0.0 {
+                settle(state)?;
                 self.damp(state, q, rng)?;
             }
         }

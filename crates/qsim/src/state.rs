@@ -200,6 +200,21 @@ impl StateVector {
         controls: &[usize],
         target: usize,
     ) -> SimResult<()> {
+        self.apply_controlled_polarity(m, controls, target, 0)
+    }
+
+    /// [`Self::apply_controlled`] with a control-polarity mask: a control
+    /// whose bit is set in `zero_controls` fires on `|0>` instead of
+    /// `|1>` (bits of `zero_controls` that are not controls are ignored).
+    /// This is what a control looks like through an X on its wire, so an
+    /// X-conjugated control costs no extra sweeps.
+    pub fn apply_controlled_polarity(
+        &mut self,
+        m: &Matrix2,
+        controls: &[usize],
+        target: usize,
+        zero_controls: usize,
+    ) -> SimResult<()> {
         self.check_qubit(target)?;
         for &c in controls {
             self.check_qubit(c)?;
@@ -230,9 +245,14 @@ impl StateVector {
         // per amplitude.
         let ctrl_hi_mask = ctrl_mask & !(block - 1);
         let ctrl_lo_mask = ctrl_mask & (half.wrapping_sub(1));
-        let lo_ctrl_bits: Vec<usize> = (0..target)
+        // The value the control bits must hold: 1 for an ordinary
+        // control, 0 for one listed in `zero_controls`.
+        let ctrl_val = ctrl_mask & !zero_controls;
+        let ctrl_hi_val = ctrl_val & ctrl_hi_mask;
+        let lo_ctrl_bits: Vec<(usize, usize)> = (0..target)
             .map(|b| 1usize << b)
             .filter(|b| ctrl_lo_mask & b != 0)
+            .map(|b| (b, b & ctrl_val))
             .collect();
 
         parallel::for_each_block_interruptible(
@@ -246,7 +266,7 @@ impl StateVector {
                     // untouched; skipping them wholesale is what makes
                     // many-control gates (Grover's MCX/MCZ diffusion
                     // core) cheap.
-                    if (offset + base) & ctrl_hi_mask != ctrl_hi_mask {
+                    if (offset + base) & ctrl_hi_mask != ctrl_hi_val {
                         continue;
                     }
                     let (zeros, ones) = tile.split_at_mut(half);
@@ -270,13 +290,13 @@ impl StateVector {
                         }
                     } else {
                         // Enumerate only the satisfying low indices: expand
-                        // a dense counter by inserting a set bit at each
-                        // low control position (ascending).
+                        // a dense counter by inserting each low control's
+                        // required bit at its position (ascending).
                         let pairs = half >> lo_ctrl_bits.len();
                         for t in 0..pairs {
                             let mut k = t;
-                            for &cb in &lo_ctrl_bits {
-                                k = (k & (cb - 1)) | ((k & !(cb - 1)) << 1) | cb;
+                            for &(cb, val) in &lo_ctrl_bits {
+                                k = (k & (cb - 1)) | ((k & !(cb - 1)) << 1) | val;
                             }
                             let x = zeros[k];
                             let y = ones[k];
@@ -296,6 +316,10 @@ impl StateVector {
             };
             qutes_obs::record_duration(name, t0.elapsed());
         }
+        qutes_obs::counter_add(
+            "kernel.amps_touched",
+            (self.amps.len() >> controls.len()) as u64,
+        );
         Ok(())
     }
 
@@ -373,6 +397,10 @@ impl StateVector {
             };
             qutes_obs::record_duration(name, t0.elapsed());
         }
+        qutes_obs::counter_add(
+            "kernel.amps_touched",
+            (self.amps.len() >> (controls.len() + 1)) as u64,
+        );
         Ok(())
     }
 
@@ -467,6 +495,7 @@ impl StateVector {
         if let Some(t0) = t0 {
             qutes_obs::record_duration(timer, t0.elapsed());
         }
+        qutes_obs::counter_add("kernel.amps_touched", self.amps.len() as u64);
         Ok(())
     }
 
@@ -552,6 +581,7 @@ impl StateVector {
         if let Some(t0) = t0 {
             qutes_obs::record_duration("kernel.3q_fused", t0.elapsed());
         }
+        qutes_obs::counter_add("kernel.amps_touched", self.amps.len() as u64);
         Ok(())
     }
 
@@ -575,15 +605,70 @@ impl StateVector {
         if let Some(t0) = t0 {
             qutes_obs::record_duration("kernel.phase_oracle", t0.elapsed());
         }
+        qutes_obs::counter_add("kernel.amps_touched", self.amps.len() as u64);
     }
 
     /// Multiplies the whole state by `e^{i theta}` (unobservable global
-    /// phase; kept for exactness of composed-circuit tests).
-    pub fn apply_global_phase(&mut self, theta: f64) {
+    /// phase; kept for exactness of composed-circuit tests). Like every
+    /// gate kernel it honours the parallel switch and the interrupt.
+    pub fn apply_global_phase(&mut self, theta: f64) -> SimResult<()> {
         let p = Complex64::cis(theta);
-        for a in self.amps.iter_mut() {
-            *a *= p;
+        parallel::for_each_block_interruptible(
+            &mut self.amps,
+            1,
+            self.parallel,
+            &self.interrupt,
+            |chunk, _offset| {
+                for a in chunk {
+                    *a *= p;
+                }
+            },
+        )
+        .map_err(SimError::Interrupted)?;
+        qutes_obs::counter_add("kernel.amps_touched", self.amps.len() as u64);
+        Ok(())
+    }
+
+    /// Applies X to every qubit whose bit is set in `mask`, in one pass:
+    /// the amplitude of basis state `i` moves to `i ^ mask`. A pure
+    /// permutation, so the result is bit-identical to the X gates applied
+    /// one by one (which may only turn a `-0.0` into `+0.0`), at the cost
+    /// of a single sweep. A zero mask is a no-op.
+    pub fn flip_bits(&mut self, mask: usize) -> SimResult<()> {
+        if mask == 0 {
+            return Ok(());
         }
+        let top = 1usize << (usize::BITS - 1 - mask.leading_zeros());
+        self.check_qubit(top.trailing_zeros() as usize)?;
+        let t0 = qutes_obs::maybe_now();
+        // Every pair (i, i ^ mask) lies in one aligned block of twice the
+        // top bit, with `i` in its lower half: swap each pair once.
+        let block = top << 1;
+        let low = mask & (top - 1);
+        parallel::for_each_block_interruptible(
+            &mut self.amps,
+            block,
+            self.parallel,
+            &self.interrupt,
+            |chunk, _offset| {
+                for (_base, tile) in parallel::blocks_mut(chunk, block) {
+                    let (zeros, ones) = tile.split_at_mut(top);
+                    if low == 0 {
+                        zeros.swap_with_slice(ones);
+                    } else {
+                        for (i, a) in zeros.iter_mut().enumerate() {
+                            std::mem::swap(a, &mut ones[i ^ low]);
+                        }
+                    }
+                }
+            },
+        )
+        .map_err(SimError::Interrupted)?;
+        if let Some(t0) = t0 {
+            qutes_obs::record_duration("kernel.flip", t0.elapsed());
+        }
+        qutes_obs::counter_add("kernel.amps_touched", self.amps.len() as u64);
+        Ok(())
     }
 
     /// Squared norm of the state (should always be ~1).
@@ -1144,7 +1229,7 @@ mod tests {
         let mut sv = StateVector::new(2).unwrap();
         sv.apply_single(&gates::h(), 0).unwrap();
         let probs = sv.probabilities();
-        sv.apply_global_phase(1.234);
+        sv.apply_global_phase(1.234).unwrap();
         assert_eq!(sv.probabilities(), probs);
     }
 
@@ -1212,6 +1297,108 @@ mod tests {
         let mut t = lo.tensor(&hi).unwrap();
         intr.cancel();
         assert!(t.apply_single(&gates::h(), 0).is_err());
+    }
+
+    /// A state with distinct, non-trivial amplitudes on every index.
+    fn scrambled(n: usize) -> StateVector {
+        let mut sv = StateVector::new(n).unwrap();
+        for q in 0..n {
+            sv.apply_single(&gates::h(), q).unwrap();
+            sv.apply_single(&gates::rz(0.3 + q as f64), q).unwrap();
+            sv.apply_single(&gates::ry(0.7 * q as f64 + 0.1), q)
+                .unwrap();
+        }
+        for q in 0..n - 1 {
+            sv.apply_controlled(&gates::t(), &[q], q + 1).unwrap();
+        }
+        sv
+    }
+
+    #[test]
+    fn flip_bits_equals_x_gates() {
+        // Below and above PAR_THRESHOLD; masks with only the top bit, only
+        // low bits, and a mix. `==` on f64 treats -0.0 and +0.0 as equal.
+        for n in [6usize, 15] {
+            for mask in [1usize << (n - 1), 0b101, 0b110, (1 << (n - 1)) | 0b1011] {
+                let mut flipped = scrambled(n);
+                let mut gated = flipped.clone();
+                flipped.flip_bits(mask).unwrap();
+                for q in (0..n).filter(|q| mask >> q & 1 == 1) {
+                    gated.apply_single(&gates::x(), q).unwrap();
+                }
+                assert_eq!(
+                    flipped.amplitudes(),
+                    gated.amplitudes(),
+                    "n {n}, mask {mask:b}"
+                );
+            }
+        }
+        let mut sv = scrambled(3);
+        let before = sv.clone();
+        sv.flip_bits(0).unwrap();
+        assert_eq!(sv.amplitudes(), before.amplitudes());
+        assert!(matches!(
+            sv.flip_bits(1 << 3),
+            Err(SimError::QubitOutOfRange { qubit: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn zero_polarity_controls_equal_x_conjugated_controls() {
+        // Controls below the target (enumerated) and above it (block
+        // skip), on a serial and a parallel-sized state.
+        for n in [6usize, 15] {
+            let controls = [0usize, 2, n - 1];
+            let target = 3;
+            for zero_controls in [0b1usize, 0b100, 1 << (n - 1), (1 << (n - 1)) | 0b101] {
+                let mut masked = scrambled(n);
+                let mut conjugated = masked.clone();
+                masked
+                    .apply_controlled_polarity(&gates::h(), &controls, target, zero_controls)
+                    .unwrap();
+                let flipped: Vec<usize> = controls
+                    .iter()
+                    .copied()
+                    .filter(|&c| zero_controls >> c & 1 == 1)
+                    .collect();
+                for &c in &flipped {
+                    conjugated.apply_single(&gates::x(), c).unwrap();
+                }
+                conjugated
+                    .apply_controlled(&gates::h(), &controls, target)
+                    .unwrap();
+                for &c in &flipped {
+                    conjugated.apply_single(&gates::x(), c).unwrap();
+                }
+                assert_eq!(
+                    masked.amplitudes(),
+                    conjugated.amplitudes(),
+                    "n {n}, zero controls {zero_controls:b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cancelled_interrupt_stops_flip_and_global_phase() {
+        let mut sv = StateVector::new(15).unwrap();
+        let intr = Interrupt::new();
+        sv.set_interrupt(intr.clone());
+        sv.flip_bits(0b11).unwrap();
+        sv.apply_global_phase(0.5).unwrap();
+        intr.cancel();
+        assert!(matches!(
+            sv.flip_bits(0b101),
+            Err(SimError::Interrupted(
+                qutes_supervisor::StopReason::Cancelled
+            ))
+        ));
+        assert!(matches!(
+            sv.apply_global_phase(0.5),
+            Err(SimError::Interrupted(
+                qutes_supervisor::StopReason::Cancelled
+            ))
+        ));
     }
 
     #[test]

@@ -9,7 +9,11 @@
 #   * the set of benchmark names per group,
 #   * counters in the attached obs snapshot that are machine-independent
 #     (gate.*, opt.*, sim.*, noise.*, backend.*, shots.*, and kernel.*
-#     except the machine-dependent kernel.dispatch.* split).
+#     except the machine-dependent kernel.dispatch.* split). The kernel
+#     work counters are among them: kernel.amps_touched (amplitudes the
+#     gate kernels read and write) and kernel.frame_x (X gates the Pauli-X
+#     frame absorbed instead of sweeping), so a change in algorithmic cost
+#     fails here exactly.
 #
 # Timing facts (timer mean_ns in the obs snapshot) only WARN when they
 # drift more than 25% in either direction — CI runners are too noisy to
