@@ -479,7 +479,8 @@ fn apply_controlled_gate(
 ) -> Option<qutes_sim::SimResult<()>> {
     use Gate::*;
     let mut apply = |m: &Matrix2, controls: &[usize], target: usize| {
-        let m = if in_frame(frame, target) {
+        let flipped = target < usize::BITS as usize && frame >> target & 1 == 1;
+        let m = if flipped {
             let [[m00, m01], [m10, m11]] = m.m;
             Matrix2::new(m11, m10, m01, m00)
         } else {
@@ -531,14 +532,6 @@ fn apply_controlled_gate(
     })
 }
 
-/// Whether qubit `q` is flipped in the Pauli-X frame `frame`.
-fn in_frame(frame: usize, q: usize) -> bool {
-    u32::try_from(q)
-        .ok()
-        .and_then(|shift| frame.checked_shr(shift))
-        .is_some_and(|bits| bits & 1 == 1)
-}
-
 /// Applies a run of instructions to the live state, updating classical
 /// bits. The result is that of [`apply_gate_noisy`] on each gate in
 /// turn — the same amplitudes (a `-0.0` may read `+0.0`), the same
@@ -550,10 +543,9 @@ fn in_frame(frame: usize, q: usize) -> bool {
 /// straight through the frame: a flipped control fires on `|0>`, and a
 /// flipped target takes `X·M·X`, whose entries are those of `M` swapped,
 /// so each new amplitude is the same two products summed in the other
-/// order. Every
-/// other instruction — measure, reset, conditional, swap/cswap,
-/// `Unitary2`/`Unitary3`, global phase, barrier — and every noise step
-/// that touches the state first settles the frame with one
+/// order. Every other instruction — measure, reset, conditional,
+/// swap/cswap, `Unitary2`/`Unitary3`, global phase, barrier — and every
+/// noise step that touches the state first settles the frame with one
 /// [`StateVector::flip_bits`] pass, then runs the gate-by-gate code. The
 /// frame is settled at the end of the run too (also after an error), so
 /// no caller ever sees it. A run that undoes its own X conjugations, as
@@ -571,15 +563,10 @@ pub fn apply_run<R: Rng + ?Sized>(
 ) -> CircResult<()> {
     let noise = noise.filter(|nm| !nm.is_noiseless());
     let mut frame = 0usize;
-    let mut result = Ok(());
-    for g in run {
-        result = apply_in_frame(state, clbits, g, rng, noise, &mut frame);
-        if result.is_err() {
-            break;
-        }
-    }
-    let settled = settle(state, &mut frame);
-    result.and(settled.map_err(CircError::from))
+    let result = run
+        .iter()
+        .try_for_each(|g| apply_in_frame(state, clbits, g, rng, noise, &mut frame));
+    result.and(settle(state, &mut frame).map_err(CircError::from))
 }
 
 /// Moves the amplitudes to where the frame says they belong and clears

@@ -638,8 +638,9 @@ impl StateVector {
         if mask == 0 {
             return Ok(());
         }
-        let top = 1usize << (usize::BITS - 1 - mask.leading_zeros());
-        self.check_qubit(top.trailing_zeros() as usize)?;
+        let highest = (usize::BITS - 1 - mask.leading_zeros()) as usize;
+        self.check_qubit(highest)?;
+        let top = 1usize << highest;
         let t0 = qutes_obs::maybe_now();
         // Every pair (i, i ^ mask) lies in one aligned block of twice the
         // top bit, with `i` in its lower half: swap each pair once.
