@@ -299,7 +299,6 @@ impl Domain for QuantumCircuitHandler {
             .circuit
             .add_creg(format!("m{}", self.measurements), qubits.len());
         self.measurements += 1;
-        self.clbits.resize(self.circuit.num_clbits(), false);
         let mut bits = Vec::with_capacity(qubits.len());
         for (k, &q) in qubits.iter().enumerate() {
             let gate = Gate::Measure {
