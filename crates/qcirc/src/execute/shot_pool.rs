@@ -40,7 +40,7 @@ use crate::error::{CircError, CircResult};
 use qutes_supervisor::{failpoint, StopReason};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Ceiling on auto-sized pools, mirroring the statevector kernels'
 /// thread cap: beyond this, merge overhead and memory-bandwidth
@@ -89,9 +89,11 @@ struct ChunkResult {
 
 /// Runs `[lo, hi)` through `run_shot`, folding outcome keys into a
 /// private histogram. Stops early on interrupt (recorded as `stop`), on
-/// a hard error (recorded and broadcast through `abort`), or when a
-/// sibling has already aborted.
-fn run_chunk<F>(lo: usize, hi: usize, run_shot: &F, abort: &AtomicBool) -> ChunkResult
+/// a hard error (recorded, and its shot index lowered into
+/// `first_failure`), or on reaching a shot above a sibling's lowest
+/// failing one. Shots below it still run, so the earliest failing shot
+/// is always found, as in the serial loop.
+fn run_chunk<F>(lo: usize, hi: usize, run_shot: &F, first_failure: &AtomicUsize) -> ChunkResult
 where
     F: Fn(usize) -> CircResult<usize>,
 {
@@ -102,7 +104,7 @@ where
         stop: None,
     };
     for s in lo..hi {
-        if abort.load(Ordering::Relaxed) {
+        if s > first_failure.load(Ordering::Relaxed) {
             break;
         }
         match run_shot(s) {
@@ -118,7 +120,7 @@ where
             }
             Err(e) => {
                 out.error = Some((s, e));
-                abort.store(true, Ordering::Relaxed);
+                first_failure.fetch_min(s, Ordering::Relaxed);
                 break;
             }
         }
@@ -134,10 +136,11 @@ where
 /// chaos `DenyAlloc` fault at the `qcirc.execute.shot_pool` failpoint
 /// reports.
 ///
-/// A hard error from any shot fails the whole run with the
-/// earliest-index error observed (identical to the serial loop whenever
-/// the erroring shot is deterministic). A worker panic is re-raised on
-/// the calling thread **after** every sibling has finished.
+/// A hard error from any shot fails the whole run with the error of the
+/// lowest failing shot index — the one the serial loop reports —
+/// whatever the timing: workers skip only shots above the lowest
+/// failure seen so far. A worker panic is re-raised on the calling
+/// thread **after** every sibling has finished.
 pub(crate) fn run_pool<F>(
     shots: usize,
     workers: usize,
@@ -147,7 +150,10 @@ pub(crate) fn run_pool<F>(
 where
     F: Fn(usize) -> CircResult<usize> + Sync,
 {
-    let abort = AtomicBool::new(false);
+    // Relaxed suffices: the index publishes no other data (each error
+    // comes back through its worker's join), and a stale read only
+    // runs a shot that a later merge discards.
+    let first_failure = AtomicUsize::new(usize::MAX);
     let worker_body = |lo: usize, hi: usize| -> ChunkResult {
         if failpoint("qcirc.execute.shot_pool").is_err() {
             return ChunkResult {
@@ -162,7 +168,7 @@ where
                 stop: None,
             };
         }
-        run_chunk(lo, hi, &run_shot, &abort)
+        run_chunk(lo, hi, &run_shot, &first_failure)
     };
 
     let results: Vec<Result<ChunkResult, Box<dyn std::any::Any + Send>>> = if workers <= 1 {
