@@ -186,6 +186,23 @@ impl StateVector {
         Ok(())
     }
 
+    /// The bitmask of `controls`, after checking that no qubit appears
+    /// twice across `controls` followed by `targets`. Every qubit must
+    /// already be in range. Allocates only on a repeat, to name it the
+    /// way [`Self::check_distinct`] does.
+    fn distinct_mask(controls: &[usize], targets: &[usize]) -> SimResult<usize> {
+        let ctrl_mask = controls.iter().fold(0usize, |m, &c| m | 1 << c);
+        let mut seen = 0usize;
+        for &q in controls.iter().chain(targets) {
+            if seen >> q & 1 == 1 {
+                let all: Vec<usize> = controls.iter().chain(targets).copied().collect();
+                Self::check_distinct(&all)?;
+            }
+            seen |= 1 << q;
+        }
+        Ok(ctrl_mask)
+    }
+
     /// Applies a single-qubit unitary to `target`.
     pub fn apply_single(&mut self, m: &Matrix2, target: usize) -> SimResult<()> {
         self.apply_controlled(m, &[], target)
@@ -219,15 +236,9 @@ impl StateVector {
         for &c in controls {
             self.check_qubit(c)?;
         }
-        let mut all = controls.to_vec();
-        all.push(target);
-        Self::check_distinct(&all)?;
+        let ctrl_mask = Self::distinct_mask(controls, &[target])?;
         let t0 = qutes_obs::maybe_now();
 
-        let mut ctrl_mask = 0usize;
-        for &c in controls {
-            ctrl_mask |= 1usize << c;
-        }
         let t_bit = 1usize << target;
         let block = t_bit << 1;
         let half = t_bit;
@@ -249,11 +260,18 @@ impl StateVector {
         // control, 0 for one listed in `zero_controls`.
         let ctrl_val = ctrl_mask & !zero_controls;
         let ctrl_hi_val = ctrl_val & ctrl_hi_mask;
-        let lo_ctrl_bits: Vec<(usize, usize)> = (0..target)
-            .map(|b| 1usize << b)
-            .filter(|b| ctrl_lo_mask & b != 0)
-            .map(|b| (b, b & ctrl_val))
-            .collect();
+        // Each low control's bit and required value, ascending, kept on
+        // the stack: every low control sits below `target < MAX_QUBITS`.
+        let mut lo_ctrl = [(0usize, 0usize); MAX_QUBITS];
+        let mut lo_len = 0;
+        let mut bits = ctrl_lo_mask;
+        while bits != 0 {
+            let cb = bits & bits.wrapping_neg();
+            lo_ctrl[lo_len] = (cb, cb & ctrl_val);
+            lo_len += 1;
+            bits &= bits - 1;
+        }
+        let lo_ctrl_bits = &lo_ctrl[..lo_len];
 
         parallel::for_each_block_interruptible(
             &mut self.amps,
@@ -295,7 +313,7 @@ impl StateVector {
                         let pairs = half >> lo_ctrl_bits.len();
                         for t in 0..pairs {
                             let mut k = t;
-                            for &(cb, val) in &lo_ctrl_bits {
+                            for &(cb, val) in lo_ctrl_bits {
                                 k = (k & (cb - 1)) | ((k & !(cb - 1)) << 1) | val;
                             }
                             let x = zeros[k];
@@ -340,15 +358,9 @@ impl StateVector {
         for &c in controls {
             self.check_qubit(c)?;
         }
-        let mut all = controls.to_vec();
-        all.extend_from_slice(&[a, b]);
-        Self::check_distinct(&all)?;
+        let ctrl_mask = Self::distinct_mask(controls, &[a, b])?;
         let t0 = qutes_obs::maybe_now();
 
-        let mut ctrl_mask = 0usize;
-        for &c in controls {
-            ctrl_mask |= 1usize << c;
-        }
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let lo_bit = 1usize << lo;
         let hi_bit = 1usize << hi;
