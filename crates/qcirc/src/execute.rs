@@ -29,8 +29,16 @@
 //! time: inside a run, X gates are absorbed into a Pauli-X frame rather
 //! than swept through the state, and the frame is settled before any
 //! instruction that needs the logical amplitudes and at the end of the
-//! run, bit-exactly matching [`apply_gate_noisy`] gate by gate. Shot
-//! replay still applies one gate at a time.
+//! run, bit-exactly matching [`apply_gate_noisy`] gate by gate.
+//!
+//! Per-shot replay (noisy trajectories, mid-circuit measurement) builds
+//! the circuit's prefix — its gates before the first measurement, reset
+//! or conditional — noise-free once per run. Each shot walks the prefix
+//! drawing only its noise and starts the rest of the circuit from a copy
+//! of that shared state; a shot whose draws put a fault inside the
+//! prefix replays the prefix up to that gate itself and carries on gate
+//! by gate. Histograms are bit-identical to replaying every shot from
+//! `|0…0>`.
 //!
 //! The hardened entry points [`run_shots_cfg`] / [`run_once_cfg`] take an
 //! [`ExecutionConfig`] adding a seed, an optional Monte-Carlo
@@ -304,11 +312,17 @@ impl GateBudget {
     }
 
     fn charge(&mut self) -> CircResult<()> {
+        self.charge_many(1)
+    }
+
+    /// Charges `n` applications at once, failing exactly when `n` calls
+    /// to [`Self::charge`] would.
+    fn charge_many(&mut self, n: u64) -> CircResult<()> {
         if let Some(r) = &mut self.remaining {
-            if *r == 0 {
+            if *r < n {
                 return Err(CircError::BudgetExhausted { limit: self.limit });
             }
-            *r -= 1;
+            *r -= n;
         }
         Ok(())
     }
@@ -604,7 +618,7 @@ fn apply_in_frame<R: Rng + ?Sized>(
         applied?;
     }
     if let Some(nm) = noise {
-        nm.apply_gate_noise_settled(state, &g.qubits(), rng, |s| settle(s, frame))?;
+        nm.apply_gate_noise_settled(state, &g.qubits(), rng, |s| settle(s, frame).map(|()| s))?;
     }
     Ok(())
 }
@@ -929,13 +943,80 @@ fn run_once_full<R: Rng + ?Sized>(
     budget: GateBudget,
     intr: &Interrupt,
 ) -> CircResult<Shot> {
-    run_once_kernel(circuit, rng, noise, budget, intr, true)
+    run_once_kernel(circuit, rng, noise, budget, intr, true, None)
 }
 
-/// [`run_once_full`] with an explicit kernel-threading switch: shot-pool
-/// workers pass `false` so per-shot parallelism is the only threading
-/// level (dense kernels are bit-identical either way, property-tested
-/// in `qsim::parallel`).
+/// The noise-free `|0…0>` state on `n` qubits with `gates` applied,
+/// under a run's interrupt handle and kernel-threading switch. Neither
+/// counts `gate.*` nor charges a budget: callers do.
+fn prefix_state(
+    n: usize,
+    gates: &[Gate],
+    intr: &Interrupt,
+    kernel_parallel: bool,
+) -> CircResult<StateVector> {
+    let mut state = StateVector::new(n)?;
+    state.set_parallel(kernel_parallel);
+    state.set_interrupt(intr.clone());
+    for g in gates {
+        apply_deterministic(&mut state, g)?;
+    }
+    Ok(state)
+}
+
+/// The state a circuit's per-shot replays share: its **prefix** (the
+/// gates before the first measurement, reset or conditional) applied
+/// noise-free to `|0…0>` once per run.
+struct SharedPrefix {
+    len: usize,
+    state: StateVector,
+}
+
+impl SharedPrefix {
+    /// Builds the shared prefix state of `circuit`, or `None` when there
+    /// is nothing to share (the circuit opens with a measurement, reset
+    /// or conditional), when `memory_budget_bytes` cannot hold it beside
+    /// a shot's own state, or when the prefix fails to apply (each shot
+    /// then replays from `|0…0>` and meets that failure itself).
+    fn build(
+        circuit: &QuantumCircuit,
+        memory_budget_bytes: Option<u64>,
+        intr: &Interrupt,
+        kernel_parallel: bool,
+    ) -> Option<Self> {
+        let ops = circuit.ops();
+        let len = ops
+            .iter()
+            .position(|g| {
+                matches!(
+                    g,
+                    Gate::Measure { .. } | Gate::Reset(_) | Gate::Conditional { .. }
+                )
+            })
+            .unwrap_or(ops.len());
+        let two_states = 2 * BackendKind::Statevector.required_bytes(circuit.num_qubits());
+        if len == 0 || memory_budget_bytes.is_some_and(|b| two_states > u128::from(b)) {
+            return None;
+        }
+        let state = prefix_state(circuit.num_qubits(), &ops[..len], intr, kernel_parallel).ok()?;
+        Some(SharedPrefix { len, state })
+    }
+}
+
+/// One run of `circuit` from `|0…0>`, as [`run_once_full`], with an
+/// explicit kernel-threading switch (shot-pool workers pass `false` so
+/// per-shot parallelism is the only threading level; dense kernels are
+/// bit-identical either way, property-tested in `qsim::parallel`).
+///
+/// With a `shared` prefix the shot applies no prefix gate itself. It
+/// walks the prefix drawing each gate's noise, and when the first fault
+/// or damping step needs the state, replays the prefix noise-free up to
+/// that gate and carries on gate by gate. A shot that clears the prefix
+/// without one starts the rest of the circuit from a copy of the shared
+/// state (`shots.prefix_shared`). Either way the draws, amplitudes and
+/// classical bits are those of the plain gate-by-gate run, every prefix
+/// gate counts in `gate.*`, and the gate budget is charged the prefix
+/// length up front.
 fn run_once_kernel<R: Rng + ?Sized>(
     circuit: &QuantumCircuit,
     rng: &mut R,
@@ -943,13 +1024,52 @@ fn run_once_kernel<R: Rng + ?Sized>(
     mut budget: GateBudget,
     intr: &Interrupt,
     kernel_parallel: bool,
+    shared: Option<&SharedPrefix>,
 ) -> CircResult<Shot> {
-    let mut state = StateVector::new(circuit.num_qubits())?;
-    state.set_parallel(kernel_parallel);
-    state.set_interrupt(intr.clone());
+    let ops = circuit.ops();
+    let n = circuit.num_qubits();
+    let prefix = &ops[..shared.map_or(0, |p| p.len)];
+    budget.charge_many(prefix.len() as u64)?;
     let mut clbits = vec![false; circuit.num_clbits()];
     let mut gate_ck = 0u64;
-    for g in circuit.ops() {
+    let mut faulted: Option<StateVector> = None;
+    for (i, g) in prefix.iter().enumerate() {
+        intr.checkpoint_named(
+            &mut gate_ck,
+            GATE_CHECK_STRIDE,
+            "stage.simulate.checkpoints",
+        )
+        .map_err(CircError::Interrupted)?;
+        if let Some(state) = faulted.as_mut() {
+            apply_gate_full(
+                state,
+                &mut clbits,
+                g,
+                rng,
+                noise,
+                &mut GateBudget::unlimited(),
+            )?;
+            continue;
+        }
+        qutes_obs::counter_add(g.counter_name(), 1);
+        // The gates `apply_gate_full` follows with trajectory noise.
+        let noisy_gate = !matches!(g, Gate::GlobalPhase(_) | Gate::Barrier(_));
+        if let Some(nm) = noise.filter(|_| noisy_gate) {
+            nm.apply_gate_noise_settled(&mut faulted, &g.qubits(), rng, |slot| match slot {
+                Some(state) => Ok::<_, CircError>(state),
+                None => Ok(slot.insert(prefix_state(n, &prefix[..=i], intr, kernel_parallel)?)),
+            })?;
+        }
+    }
+    let mut state = match (faulted, shared) {
+        (Some(state), _) => state,
+        (None, Some(shared)) => {
+            qutes_obs::counter_add("shots.prefix_shared", 1);
+            shared.state.try_clone()?
+        }
+        (None, None) => prefix_state(n, &[], intr, kernel_parallel)?,
+    };
+    for g in &ops[prefix.len()..] {
         intr.checkpoint_named(
             &mut gate_ck,
             GATE_CHECK_STRIDE,
@@ -1170,6 +1290,7 @@ fn run_shots_full<R: Rng + ?Sized>(
         // With several workers live, shot-level parallelism owns the
         // cores: nested kernel threading would only oversubscribe.
         let kernel_parallel = workers == 1;
+        let shared = SharedPrefix::build(circuit, cfg.memory_budget_bytes, intr, kernel_parallel);
         let run_shot = |s: usize| -> CircResult<usize> {
             intr.check().map_err(CircError::Interrupted)?;
             if intr.is_armed() {
@@ -1188,6 +1309,7 @@ fn run_shots_full<R: Rng + ?Sized>(
                 cfg.budget(),
                 intr,
                 kernel_parallel,
+                shared.as_ref(),
             )
             .map(|shot| shot.clbits_as_usize())
         };
@@ -1488,5 +1610,105 @@ mod tests {
         c2.mcz(&[0, 1], 2).unwrap();
         let sv2 = statevector(&c2).unwrap();
         assert!((sv2.amplitude(0b111).re + 1.0).abs() < 1e-12);
+    }
+
+    /// A 3-qubit circuit with a 10-gate prefix (global phase and barrier
+    /// included) before a mid-circuit measurement, and gates after it.
+    fn prefixed_circuit() -> QuantumCircuit {
+        use Gate::*;
+        let mut c = QuantumCircuit::with_qubits_and_clbits(3, 3);
+        let ops = [
+            H(0),
+            CX {
+                control: 0,
+                target: 1,
+            },
+            RZ {
+                target: 1,
+                theta: 0.3,
+            },
+            T(2),
+            GlobalPhase(0.2),
+            Barrier(vec![0, 1]),
+            Swap { a: 0, b: 2 },
+            CZ {
+                control: 1,
+                target: 2,
+            },
+            X(0),
+            H(2),
+            Measure { qubit: 1, clbit: 0 },
+            H(1),
+            CX {
+                control: 1,
+                target: 0,
+            },
+            Measure { qubit: 0, clbit: 1 },
+            Measure { qubit: 2, clbit: 2 },
+        ];
+        for g in ops {
+            c.append(g).unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn shared_prefix_shots_match_replays_from_zero_bit_for_bit() {
+        let c = prefixed_circuit();
+        let intr = Interrupt::new();
+        let shared = SharedPrefix::build(&c, None, &intr, false).unwrap();
+        assert_eq!(shared.len, 10);
+        let models = [
+            NoiseModel::depolarizing(0.05).with_readout_error(0.1),
+            NoiseModel::none().with_bit_flip(0.05).with_phase_flip(0.05),
+            NoiseModel::none().with_amplitude_damping(0.1),
+        ];
+        for nm in &models {
+            for s in 0..200u64 {
+                // Final clbits, final amplitudes, and the next draw.
+                let run = |shared: Option<&SharedPrefix>| {
+                    let mut rng = qutes_sim::rng_stream::shot_rng(9, s);
+                    let budget = GateBudget::unlimited();
+                    let shot =
+                        run_once_kernel(&c, &mut rng, Some(nm), budget, &intr, false, shared)
+                            .unwrap();
+                    (
+                        shot.clbits,
+                        shot.state.amplitudes().to_vec(),
+                        rng.next_u64(),
+                    )
+                };
+                assert_eq!(run(None), run(Some(&shared)), "shot {s} under {nm:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn budget_below_the_prefix_fails_like_the_gate_by_gate_run() {
+        let c = prefixed_circuit();
+        let intr = Interrupt::new();
+        let shared = SharedPrefix::build(&c, None, &intr, false).unwrap();
+        for limit in [0, 5, 9, 10, 11, 13, 14] {
+            let run = |shared: Option<&SharedPrefix>| {
+                let mut rng = qutes_sim::rng_stream::shot_rng(1, 0);
+                let budget = GateBudget::limited(limit);
+                run_once_kernel(&c, &mut rng, None, budget, &intr, false, shared)
+                    .map(|shot| shot.clbits)
+                    .map_err(|e| e.to_string())
+            };
+            assert_eq!(run(None), run(Some(&shared)), "limit {limit}");
+        }
+    }
+
+    #[test]
+    fn prefix_is_not_shared_when_the_budget_cannot_hold_two_states() {
+        let c = prefixed_circuit();
+        let intr = Interrupt::new();
+        let one_state = 16 << c.num_qubits();
+        assert!(SharedPrefix::build(&c, Some(2 * one_state), &intr, false).is_some());
+        assert!(SharedPrefix::build(&c, Some(2 * one_state - 1), &intr, false).is_none());
+        let mut opens_with_measure = QuantumCircuit::with_qubits_and_clbits(1, 1);
+        opens_with_measure.measure(0, 0).unwrap().h(0).unwrap();
+        assert!(SharedPrefix::build(&opens_with_measure, None, &intr, false).is_none());
     }
 }

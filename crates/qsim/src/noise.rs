@@ -151,24 +151,27 @@ impl NoiseModel {
         qubits: &[usize],
         rng: &mut R,
     ) -> SimResult<()> {
-        self.apply_gate_noise_settled(state, qubits, rng, |_| Ok(()))
+        self.apply_gate_noise_settled(state, qubits, rng, |s| Ok::<_, SimError>(s))
     }
 
-    /// [`Self::apply_gate_noise`], calling `settle` on the state right
-    /// before each fault or damping step reads or writes it, and never
-    /// when no channel touches the state. The randomness drawn is the
-    /// same. A caller holding deferred work on the state (the execution
-    /// layer's Pauli-X frame) completes it there.
-    pub fn apply_gate_noise_settled<R, F>(
+    /// [`Self::apply_gate_noise`] on a state held behind `target`:
+    /// `settle` hands out the state right before each fault or damping
+    /// step reads or writes it, and is never called when no channel
+    /// touches the state. The randomness drawn is the same. A caller
+    /// holding deferred work on the state completes it there: the
+    /// execution layer settles its Pauli-X frame, and a per-shot replay
+    /// that has not built its state yet builds it.
+    pub fn apply_gate_noise_settled<R, T, E, F>(
         &self,
-        state: &mut StateVector,
+        target: &mut T,
         qubits: &[usize],
         rng: &mut R,
         mut settle: F,
-    ) -> SimResult<()>
+    ) -> Result<(), E>
     where
         R: Rng + ?Sized,
-        F: FnMut(&mut StateVector) -> SimResult<()>,
+        E: From<SimError>,
+        F: FnMut(&mut T) -> Result<&mut StateVector, E>,
     {
         let depol = if qubits.len() <= 1 {
             self.depolarizing_1q
@@ -178,13 +181,11 @@ impl NoiseModel {
         for &q in qubits {
             if self.bit_flip > 0.0 && rng.random::<f64>() < self.bit_flip {
                 qutes_obs::counter_add("noise.faults.bit_flip", 1);
-                settle(state)?;
-                state.apply_single(&gates::x(), q)?;
+                settle(target)?.apply_single(&gates::x(), q)?;
             }
             if self.phase_flip > 0.0 && rng.random::<f64>() < self.phase_flip {
                 qutes_obs::counter_add("noise.faults.phase_flip", 1);
-                settle(state)?;
-                state.apply_single(&gates::z(), q)?;
+                settle(target)?.apply_single(&gates::z(), q)?;
             }
             if depol > 0.0 && rng.random::<f64>() < depol {
                 qutes_obs::counter_add("noise.faults.depolarizing", 1);
@@ -193,12 +194,10 @@ impl NoiseModel {
                     1 => gates::y(),
                     _ => gates::z(),
                 };
-                settle(state)?;
-                state.apply_single(&pauli, q)?;
+                settle(target)?.apply_single(&pauli, q)?;
             }
             if self.amplitude_damping > 0.0 {
-                settle(state)?;
-                self.damp(state, q, rng)?;
+                self.damp(settle(target)?, q, rng)?;
             }
         }
         Ok(())

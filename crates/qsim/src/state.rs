@@ -24,10 +24,18 @@ use qutes_supervisor::Interrupt;
 /// Hard cap on dense simulation size: 2^28 amplitudes = 4 GiB of state.
 pub const MAX_QUBITS: usize = 28;
 
-/// Allocates a zeroed amplitude vector, pre-flighting the reservation
-/// with `try_reserve_exact` so an allocator refusal surfaces as
-/// [`SimError::AllocationFailed`] instead of an OOM abort.
+/// Allocates a zeroed amplitude vector; see [`reserve_amps`].
 fn alloc_amps(len: usize) -> SimResult<Vec<Complex64>> {
+    let mut amps = reserve_amps(len)?;
+    amps.resize(len, Complex64::ZERO);
+    Ok(amps)
+}
+
+/// An empty amplitude vector with room for `len` amplitudes,
+/// pre-flighting the reservation with `try_reserve_exact` so an
+/// allocator refusal surfaces as [`SimError::AllocationFailed`] instead
+/// of an OOM abort.
+fn reserve_amps(len: usize) -> SimResult<Vec<Complex64>> {
     let bytes = len.saturating_mul(std::mem::size_of::<Complex64>());
     // The failpoint models refusal of a *statevector-sized* allocation;
     // the trivial single-amplitude vector (the 0-qubit seed state every
@@ -40,7 +48,6 @@ fn alloc_amps(len: usize) -> SimResult<Vec<Complex64>> {
     let mut amps: Vec<Complex64> = Vec::new();
     amps.try_reserve_exact(len)
         .map_err(|_| SimError::AllocationFailed { bytes })?;
-    amps.resize(len, Complex64::ZERO);
     Ok(amps)
 }
 
@@ -68,6 +75,20 @@ impl StateVector {
             amps,
             parallel: true,
             interrupt: Interrupt::new(),
+        })
+    }
+
+    /// A copy of this state, kernel settings and interrupt handle
+    /// included, allocated as [`Self::new`] allocates: a refused
+    /// allocation is [`SimError::AllocationFailed`], not an abort.
+    pub fn try_clone(&self) -> SimResult<Self> {
+        let mut amps = reserve_amps(self.amps.len())?;
+        amps.extend_from_slice(&self.amps);
+        Ok(StateVector {
+            n: self.n,
+            amps,
+            parallel: self.parallel,
+            interrupt: self.interrupt.clone(),
         })
     }
 
