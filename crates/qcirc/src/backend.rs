@@ -31,7 +31,7 @@
 //! ```
 
 use crate::error::{CircError, CircResult};
-use crate::execute::{apply_gate_tableau, apply_run};
+use crate::execute::{apply_gate_full, apply_run, Engine, GateBudget};
 use crate::gate::Gate;
 use crate::QuantumCircuit;
 use qutes_sim::tableau::{Tableau, TABLEAU_MAX_QUBITS};
@@ -163,18 +163,10 @@ pub fn resolve(
         BackendChoice::Statevector => Ok(BackendKind::Statevector),
         BackendChoice::Tableau => {
             if noisy {
-                return Err(CircError::BackendUnsupported {
-                    backend: "tableau",
-                    what: "noise models (stabilizer states cannot represent \
-                           arbitrary faulty trajectories)"
-                        .to_string(),
-                });
+                return Err(tableau_unsupported_noise());
             }
             if let Some(g) = circuit.ops().iter().find(|g| !g.is_clifford()) {
-                return Err(CircError::BackendUnsupported {
-                    backend: "tableau",
-                    what: format!("non-Clifford gate '{}'", g.name()),
-                });
+                return Err(tableau_unsupported_gate(g));
             }
             if circuit.num_qubits() > TABLEAU_MAX_QUBITS {
                 return Err(CircError::Sim(qutes_sim::SimError::TooManyQubits(
@@ -194,6 +186,24 @@ pub fn resolve(
     }
 }
 
+/// The typed refusal of a noise model on the tableau.
+pub(crate) fn tableau_unsupported_noise() -> CircError {
+    CircError::BackendUnsupported {
+        backend: "tableau",
+        what: "noise models (stabilizer states cannot represent \
+               arbitrary faulty trajectories)"
+            .to_string(),
+    }
+}
+
+/// The typed refusal of a non-Clifford gate on the tableau.
+pub(crate) fn tableau_unsupported_gate(g: &Gate) -> CircError {
+    CircError::BackendUnsupported {
+        backend: "tableau",
+        what: format!("non-Clifford gate '{}'", g.name()),
+    }
+}
+
 /// A live quantum-state engine driven one run of gates at a time.
 ///
 /// This is the seam the core runtime's `QuantumCircuitHandler` builds
@@ -201,10 +211,9 @@ pub fn resolve(
 /// samples against this trait without knowing the representation. The
 /// statevector engine applies each run with [`apply_run`], which absorbs
 /// X gates into a Pauli-X frame and settles it before anything reads the
-/// state; the tableau engine applies the run gate by gate with
-/// [`apply_gate_tableau`]. Either way the result equals gate-by-gate
-/// whole-circuit execution — including RNG-stream order on the
-/// statevector engine.
+/// state; the tableau engine applies the run gate by gate, as the shot
+/// engine does. Either way the result equals gate-by-gate whole-circuit
+/// execution — including RNG-stream order on the statevector engine.
 pub trait Backend {
     /// Which engine this is.
     fn kind(&self) -> BackendKind;
@@ -302,12 +311,7 @@ impl Backend for StatevectorBackend {
         shots: usize,
         rng: &mut StdRng,
     ) -> CircResult<HashMap<usize, usize>> {
-        Ok(qutes_sim::measure::sample_counts(
-            &self.state,
-            qubits,
-            shots,
-            rng,
-        )?)
+        Engine::sample(&self.state, qubits, shots, rng)
     }
 
     fn set_interrupt(&mut self, intr: Interrupt) {
@@ -358,15 +362,11 @@ impl Backend for TableauBackend {
         noise: Option<&NoiseModel>,
     ) -> CircResult<()> {
         if noise.is_some_and(|nm| !nm.is_noiseless()) {
-            return Err(CircError::BackendUnsupported {
-                backend: "tableau",
-                what: "noise models (stabilizer states cannot represent \
-                       arbitrary faulty trajectories)"
-                    .to_string(),
-            });
+            return Err(tableau_unsupported_noise());
         }
+        let mut budget = GateBudget::unlimited();
         run.iter()
-            .try_for_each(|g| apply_gate_tableau(&mut self.tab, clbits, g, rng))
+            .try_for_each(|g| apply_gate_full(&mut self.tab, clbits, g, rng, None, &mut budget))
     }
 
     fn probability_one(&mut self, qubit: usize) -> CircResult<f64> {
@@ -379,7 +379,7 @@ impl Backend for TableauBackend {
         shots: usize,
         rng: &mut StdRng,
     ) -> CircResult<HashMap<usize, usize>> {
-        Ok(self.tab.sample(qubits, shots, rng)?)
+        Engine::sample(&self.tab, qubits, shots, rng)
     }
 
     fn set_interrupt(&mut self, intr: Interrupt) {

@@ -8,11 +8,13 @@
 //!   [`Counts`] histogram like a Qiskit job result. Every shots entry
 //!   point first resolves a backend ([`crate::backend::resolve`]):
 //!   Clifford-only noise-free circuits run on the stabilizer tableau,
-//!   everything else on the dense statevector. On either engine, when
-//!   all measurements are terminal and unconditioned, the state is
-//!   simulated once and sampled `shots` times (the standard Aer
-//!   batched-sampling fast path); otherwise each shot re-runs the full
-//!   circuit.
+//!   everything else on the dense statevector. One shot engine, generic
+//!   over the two, then runs the job: when all measurements are terminal
+//!   and unconditioned and no noise applies, the state is simulated once
+//!   and sampled `shots` times (the standard Aer batched-sampling fast
+//!   path); otherwise each shot replays the circuit. Histogram keys are
+//!   64-bit, so a circuit with more classical bits is refused before any
+//!   shot runs.
 //!
 //! ```
 //! use qutes_qcirc::execute::statevector;
@@ -33,12 +35,12 @@
 //!
 //! Per-shot replay (noisy trajectories, mid-circuit measurement) builds
 //! the circuit's prefix — its gates before the first measurement, reset
-//! or conditional — noise-free once per run. Each shot walks the prefix
-//! drawing only its noise and starts the rest of the circuit from a copy
-//! of that shared state; a shot whose draws put a fault inside the
-//! prefix replays the prefix up to that gate itself and carries on gate
-//! by gate. Histograms are bit-identical to replaying every shot from
-//! `|0…0>`.
+//! or conditional — noise-free once per run, on either engine. Each shot
+//! walks the prefix drawing only its noise and starts the rest of the
+//! circuit from a copy of that shared state; a shot whose draws put a
+//! fault inside the prefix replays the prefix up to that gate itself and
+//! carries on gate by gate. Histograms are bit-identical to replaying
+//! every shot from `|0…0>`.
 //!
 //! The hardened entry points [`run_shots_cfg`] / [`run_once_cfg`] take an
 //! [`ExecutionConfig`] adding a seed, an optional Monte-Carlo
@@ -56,7 +58,7 @@ use crate::circuit::QuantumCircuit;
 use crate::error::{CircError, CircResult};
 use crate::gate::Gate;
 use qutes_sim::tableau::Tableau;
-use qutes_sim::{gates, measure, Matrix2, NoiseModel, StateVector};
+use qutes_sim::{gates, measure, Matrix2, NoiseModel, SimError, StateVector};
 use qutes_supervisor::{failpoint, Interrupt, StopReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -291,13 +293,13 @@ impl ExecutionConfig {
 }
 
 /// Per-shot countdown of gate applications.
-struct GateBudget {
+pub(crate) struct GateBudget {
     remaining: Option<u64>,
     limit: u64,
 }
 
 impl GateBudget {
-    fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         GateBudget {
             remaining: None,
             limit: 0,
@@ -623,10 +625,174 @@ fn apply_in_frame<R: Rng + ?Sized>(
     Ok(())
 }
 
-/// Full-featured gate application: bounds checks, budget accounting,
-/// and post-gate trajectory noise.
-fn apply_gate_full<R: Rng + ?Sized>(
-    state: &mut StateVector,
+/// What the shot engine needs of a simulation engine. Implemented on the
+/// dense [`StateVector`] and the stabilizer [`Tableau`] and dispatched
+/// statically, so per-shot replay pays no virtual call per gate. `Sync`
+/// because the shot-pool workers share one prefix state.
+pub(crate) trait Engine: Sized + Sync {
+    /// Which engine this is (for its memory estimate).
+    const KIND: BackendKind;
+
+    /// `|0…0>` on `n` qubits under a run's interrupt handle and
+    /// kernel-threading switch (the tableau has no kernel threads).
+    fn zero(n: usize, intr: &Interrupt, kernel_parallel: bool) -> CircResult<Self>;
+
+    /// A copy of this state.
+    fn copy(&self) -> CircResult<Self>;
+
+    /// Applies a unitary gate, a global phase or a barrier.
+    fn apply(&mut self, g: &Gate) -> CircResult<()>;
+
+    /// Measures `qubit`, collapsing the state.
+    fn measure<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> CircResult<bool>;
+
+    /// Measures `qubit` and returns it to `|0>`.
+    fn reset<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> CircResult<()>;
+
+    /// Draws `shots` joint samples of `qubits` without collapsing the
+    /// state; bit `k` of each key is the outcome of `qubits[k]`.
+    fn sample<R: Rng + ?Sized>(
+        &self,
+        qubits: &[usize],
+        shots: usize,
+        rng: &mut R,
+    ) -> CircResult<HashMap<usize, usize>>;
+
+    /// Post-gate trajectory noise on `qubits` of the state held behind
+    /// `target`, handed out by `settle` only when a fault or damping step
+    /// touches it (see [`NoiseModel::apply_gate_noise_settled`]). The
+    /// hook's error type is the caller's, as there, so the per-gate call
+    /// on the hot path returns the small [`SimError`].
+    fn gate_noise<T, R: Rng + ?Sized, Er: From<SimError> + Into<CircError>>(
+        nm: &NoiseModel,
+        target: &mut T,
+        qubits: &[usize],
+        rng: &mut R,
+        settle: impl FnMut(&mut T) -> Result<&mut Self, Er>,
+    ) -> CircResult<()>;
+}
+
+impl Engine for Tableau {
+    const KIND: BackendKind = BackendKind::Tableau;
+
+    fn zero(n: usize, intr: &Interrupt, _kernel_parallel: bool) -> CircResult<Self> {
+        let mut tab = Tableau::new(n)?;
+        tab.set_interrupt(intr.clone());
+        Ok(tab)
+    }
+
+    fn copy(&self) -> CircResult<Self> {
+        Ok(self.clone())
+    }
+
+    fn apply(&mut self, g: &Gate) -> CircResult<()> {
+        match g {
+            Gate::H(q) => self.h(*q)?,
+            Gate::X(q) => self.x(*q)?,
+            Gate::Y(q) => self.y(*q)?,
+            Gate::Z(q) => self.z(*q)?,
+            Gate::S(q) => self.s(*q)?,
+            Gate::Sdg(q) => self.sdg(*q)?,
+            Gate::CX { control, target } => self.cx(*control, *target)?,
+            Gate::CY { control, target } => self.cy(*control, *target)?,
+            Gate::CZ { control, target } => self.cz(*control, *target)?,
+            Gate::Swap { a, b } => self.swap(*a, *b)?,
+            // Stabilizer states are defined up to global phase, so these are
+            // exact no-ops rather than approximations.
+            Gate::Barrier(_) | Gate::GlobalPhase(_) => {}
+            other => return Err(crate::backend::tableau_unsupported_gate(other)),
+        }
+        Ok(())
+    }
+
+    fn measure<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> CircResult<bool> {
+        Ok(Tableau::measure(self, qubit, rng)?)
+    }
+
+    fn reset<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> CircResult<()> {
+        Tableau::reset(self, qubit, rng)?;
+        Ok(())
+    }
+
+    fn sample<R: Rng + ?Sized>(
+        &self,
+        qubits: &[usize],
+        shots: usize,
+        rng: &mut R,
+    ) -> CircResult<HashMap<usize, usize>> {
+        Ok(Tableau::sample(self, qubits, shots, rng)?)
+    }
+
+    fn gate_noise<T, R: Rng + ?Sized, Er: From<SimError> + Into<CircError>>(
+        _nm: &NoiseModel,
+        _target: &mut T,
+        _qubits: &[usize],
+        _rng: &mut R,
+        _settle: impl FnMut(&mut T) -> Result<&mut Self, Er>,
+    ) -> CircResult<()> {
+        Err(crate::backend::tableau_unsupported_noise())
+    }
+}
+
+impl Engine for StateVector {
+    const KIND: BackendKind = BackendKind::Statevector;
+
+    fn zero(n: usize, intr: &Interrupt, kernel_parallel: bool) -> CircResult<Self> {
+        let mut state = StateVector::new(n)?;
+        state.set_parallel(kernel_parallel);
+        state.set_interrupt(intr.clone());
+        Ok(state)
+    }
+
+    fn copy(&self) -> CircResult<Self> {
+        Ok(self.try_clone()?)
+    }
+
+    fn apply(&mut self, g: &Gate) -> CircResult<()> {
+        apply_deterministic(self, g)
+    }
+
+    fn measure<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> CircResult<bool> {
+        Ok(measure::measure_qubit(self, qubit, rng)?)
+    }
+
+    fn reset<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> CircResult<()> {
+        measure::measure_and_reset(self, qubit, rng)?;
+        Ok(())
+    }
+
+    fn sample<R: Rng + ?Sized>(
+        &self,
+        qubits: &[usize],
+        shots: usize,
+        rng: &mut R,
+    ) -> CircResult<HashMap<usize, usize>> {
+        Ok(measure::sample_counts(self, qubits, shots, rng)?)
+    }
+
+    fn gate_noise<T, R: Rng + ?Sized, Er: From<SimError> + Into<CircError>>(
+        nm: &NoiseModel,
+        target: &mut T,
+        qubits: &[usize],
+        rng: &mut R,
+        settle: impl FnMut(&mut T) -> Result<&mut Self, Er>,
+    ) -> CircResult<()> {
+        nm.apply_gate_noise_settled(target, qubits, rng, settle)
+            .map_err(Into::into)
+    }
+}
+
+/// True for the instructions trajectory noise follows: every one except
+/// a global phase and a barrier.
+fn draws_noise(g: &Gate) -> bool {
+    !matches!(g, Gate::GlobalPhase(_) | Gate::Barrier(_))
+}
+
+/// Full-featured gate application on either engine: bounds checks,
+/// budget accounting, `gate.*` counters, readout flips and post-gate
+/// trajectory noise.
+pub(crate) fn apply_gate_full<E: Engine, R: Rng + ?Sized>(
+    state: &mut E,
     clbits: &mut [bool],
     g: &Gate,
     rng: &mut R,
@@ -638,217 +804,33 @@ fn apply_gate_full<R: Rng + ?Sized>(
     match g {
         Gate::Measure { qubit, clbit } => {
             check_clbit(clbits, *clbit)?;
-            let mut out = measure::measure_qubit(state, *qubit, rng)?;
+            let mut out = state.measure(*qubit, rng)?;
             if let Some(nm) = noise {
                 out = nm.flip_readout(out, rng);
             }
             clbits[*clbit] = out;
         }
-        Gate::Reset(q) => {
-            measure::measure_and_reset(state, *q, rng)?;
-            if let Some(nm) = noise {
-                nm.apply_gate_noise(state, &[*q], rng)?;
-            }
-        }
-        Gate::Barrier(_) => {}
         Gate::Conditional { clbit, value, gate } => {
             check_clbit(clbits, *clbit)?;
             if clbits[*clbit] == *value {
                 apply_gate_full(state, clbits, gate, rng, noise, budget)?;
             }
         }
-        Gate::GlobalPhase(t) => state.apply_global_phase(*t)?,
         _ => {
-            apply_unitary(state, g)?;
-            if let Some(nm) = noise {
-                nm.apply_gate_noise(state, &g.qubits(), rng)?;
+            match g {
+                Gate::Reset(q) => state.reset(*q, rng)?,
+                _ => state.apply(g)?,
+            }
+            if let Some(nm) = noise.filter(|_| draws_noise(g)) {
+                E::gate_noise(nm, state, &g.qubits(), rng, |s| Ok::<_, SimError>(s))?;
             }
         }
     }
     Ok(())
 }
 
-/// Applies one instruction to a live stabilizer tableau, updating
-/// classical bits on measurement. The tableau analogue of
-/// [`apply_gate`]: same clbit bounds checks and per-gate obs counters.
-/// Non-Clifford gates are a typed [`CircError::BackendUnsupported`].
-pub fn apply_gate_tableau<R: Rng + ?Sized>(
-    tab: &mut Tableau,
-    clbits: &mut [bool],
-    g: &Gate,
-    rng: &mut R,
-) -> CircResult<()> {
-    apply_gate_tableau_full(tab, clbits, g, rng, &mut GateBudget::unlimited())
-}
-
-/// Full tableau gate application: budget accounting, obs counters, and
-/// the Gate-IR → tableau-op translation.
-fn apply_gate_tableau_full<R: Rng + ?Sized>(
-    tab: &mut Tableau,
-    clbits: &mut [bool],
-    g: &Gate,
-    rng: &mut R,
-    budget: &mut GateBudget,
-) -> CircResult<()> {
-    budget.charge()?;
-    qutes_obs::counter_add(g.counter_name(), 1);
-    match g {
-        Gate::H(q) => tab.h(*q)?,
-        Gate::X(q) => tab.x(*q)?,
-        Gate::Y(q) => tab.y(*q)?,
-        Gate::Z(q) => tab.z(*q)?,
-        Gate::S(q) => tab.s(*q)?,
-        Gate::Sdg(q) => tab.sdg(*q)?,
-        Gate::CX { control, target } => tab.cx(*control, *target)?,
-        Gate::CY { control, target } => tab.cy(*control, *target)?,
-        Gate::CZ { control, target } => tab.cz(*control, *target)?,
-        Gate::Swap { a, b } => tab.swap(*a, *b)?,
-        Gate::Measure { qubit, clbit } => {
-            check_clbit(clbits, *clbit)?;
-            clbits[*clbit] = tab.measure(*qubit, rng)?;
-        }
-        Gate::Reset(q) => {
-            tab.reset(*q, rng)?;
-        }
-        // Stabilizer states are defined up to global phase, so these are
-        // exact no-ops rather than approximations.
-        Gate::Barrier(_) | Gate::GlobalPhase(_) => {}
-        Gate::Conditional { clbit, value, gate } => {
-            check_clbit(clbits, *clbit)?;
-            if clbits[*clbit] == *value {
-                apply_gate_tableau_full(tab, clbits, gate, rng, budget)?;
-            }
-        }
-        other => {
-            return Err(CircError::BackendUnsupported {
-                backend: "tableau",
-                what: format!("non-Clifford gate '{}'", other.name()),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Runs the circuit once on a fresh tableau, returning the final
-/// classical bits. The tableau analogue of [`run_once`]'s inner loop,
-/// with the same interrupt-checkpoint stride.
-fn run_once_tableau<R: Rng + ?Sized>(
-    circuit: &QuantumCircuit,
-    rng: &mut R,
-    mut budget: GateBudget,
-    intr: &Interrupt,
-) -> CircResult<Vec<bool>> {
-    let mut tab = Tableau::new(circuit.num_qubits())?;
-    tab.set_interrupt(intr.clone());
-    let mut clbits = vec![false; circuit.num_clbits()];
-    let mut gate_ck = 0u64;
-    for g in circuit.ops() {
-        intr.checkpoint_named(
-            &mut gate_ck,
-            GATE_CHECK_STRIDE,
-            "stage.simulate.checkpoints",
-        )
-        .map_err(CircError::Interrupted)?;
-        apply_gate_tableau_full(&mut tab, &mut clbits, g, rng, &mut budget)?;
-    }
-    Ok(clbits)
-}
-
-/// Shot execution on the stabilizer tableau. Mirrors
-/// [`run_shots_full`]'s two paths: terminal measurements batch into
-/// clone-and-measure sampling of one final tableau; mid-circuit
-/// measurement/reset/conditionals re-run the circuit per shot with the
-/// same degradation semantics ([`ShotsOutcome::degraded`]).
-fn run_shots_tableau<R: Rng + ?Sized>(
-    circuit: &QuantumCircuit,
-    shots: usize,
-    rng: &mut R,
-    cfg: &ExecutionConfig,
-    intr: &Interrupt,
-    allow_partial: bool,
-) -> CircResult<ShotsOutcome> {
-    let mut map = HashMap::new();
-    qutes_obs::counter_add("sim.shots", shots as u64);
-    if measurements_are_terminal(circuit) {
-        qutes_obs::counter_add("sim.fast_path", 1);
-        qutes_obs::counter_add("backend.mode.batched", 1);
-        let mut tab = Tableau::new(circuit.num_qubits())?;
-        tab.set_interrupt(intr.clone());
-        let mut clbits = vec![false; circuit.num_clbits()];
-        let mut budget = cfg.budget();
-        let mut gate_ck = 0u64;
-        let mut meas_pairs: Vec<(usize, usize)> = Vec::new();
-        for g in circuit.ops() {
-            intr.checkpoint_named(
-                &mut gate_ck,
-                GATE_CHECK_STRIDE,
-                "stage.simulate.checkpoints",
-            )
-            .map_err(CircError::Interrupted)?;
-            if let Gate::Measure { qubit, clbit } = g {
-                check_clbit(&clbits, *clbit)?;
-                budget.charge()?;
-                meas_pairs.push((*qubit, *clbit));
-            } else {
-                apply_gate_tableau_full(&mut tab, &mut clbits, g, rng, &mut budget)?;
-            }
-        }
-        let qubits: Vec<usize> = meas_pairs.iter().map(|&(q, _)| q).collect();
-        let sampled = tab.sample(&qubits, shots, rng)?;
-        for (joint, count) in sampled {
-            // Re-scatter bit k of the joint outcome to clbit of pair k.
-            let mut key = 0usize;
-            for (k, &(_, c)) in meas_pairs.iter().enumerate() {
-                if joint >> k & 1 == 1 {
-                    key |= 1 << c;
-                }
-            }
-            *map.entry(key).or_insert(0) += count;
-        }
-    } else {
-        qutes_obs::counter_add("sim.slow_path", 1);
-        qutes_obs::counter_add("backend.mode.per_shot", 1);
-        // Counter-derived child streams (see `qutes_sim::rng_stream`):
-        // one base draw from the caller's stream, then a private RNG
-        // per shot index — the same derivation serial or pooled, so
-        // histograms are thread-count invariant.
-        let base_seed = rng.next_u64();
-        let workers = shot_pool::resolve_workers(cfg.shot_threads, shots);
-        let denied_bytes = Tableau::required_bytes(circuit.num_qubits());
-        let run_shot = |s: usize| -> CircResult<usize> {
-            intr.check().map_err(CircError::Interrupted)?;
-            if intr.is_armed() {
-                qutes_obs::counter_add("stage.shots.checkpoints", 1);
-            }
-            failpoint("qcirc.execute.shot").map_err(|_| {
-                CircError::Sim(qutes_sim::SimError::AllocationFailed {
-                    bytes: denied_bytes,
-                })
-            })?;
-            let mut shot_rng = qutes_sim::rng_stream::shot_rng(base_seed, s as u64);
-            let clbits = run_once_tableau(circuit, &mut shot_rng, cfg.budget(), intr)?;
-            Ok(clbits
-                .iter()
-                .enumerate()
-                .fold(0usize, |acc, (i, &b)| acc | ((b as usize) << i)))
-        };
-        let pool = shot_pool::run_pool(shots, workers, denied_bytes, run_shot)?;
-        return pool_outcome(pool, circuit.num_clbits(), shots, allow_partial);
-    }
-    Ok(ShotsOutcome {
-        counts: Counts {
-            map,
-            num_clbits: circuit.num_clbits(),
-            shots,
-        },
-        completed_shots: shots,
-        degraded: false,
-        stop: None,
-    })
-}
-
-/// Translates a merged pool result into the shot-outcome contract
-/// shared with the serial loop: a mid-run interrupt yields a degraded
+/// Translates a shot histogram, batched or merged from the pool, into
+/// the shot-outcome contract: a mid-run interrupt yields a degraded
 /// partial histogram when allowed and at least one shot completed
 /// (`completed_shots` is exactly the histogram weight), and is a typed
 /// error otherwise.
@@ -888,32 +870,33 @@ fn pool_outcome(
 
 /// Result of a single end-to-end execution.
 #[derive(Clone, Debug)]
-pub struct Shot {
-    /// Final (collapsed) statevector.
-    pub state: StateVector,
+pub struct Shot<S = StateVector> {
+    /// Final (collapsed) state.
+    pub state: S,
     /// Final classical-bit values.
     pub clbits: Vec<bool>,
 }
 
-impl Shot {
-    /// Classical bits packed into an integer, clbit `k` = bit `k`.
+impl<S> Shot<S> {
+    /// Classical bits packed into an integer, clbit `k` = bit `k`. Only
+    /// 64 clbits fit; the shots entry points refuse wider circuits.
     pub fn clbits_as_usize(&self) -> usize {
-        self.clbits
-            .iter()
-            .enumerate()
-            .fold(0usize, |acc, (i, &b)| acc | ((b as usize) << i))
+        pack_key(self.clbits.iter().copied().enumerate())
     }
+}
+
+/// Packs `(clbit, value)` pairs into a histogram key, clbit `k` at bit
+/// `k`. Callers keep `k` below 64: the shot engine refuses wider
+/// circuits before any shot runs.
+fn pack_key(bits: impl IntoIterator<Item = (usize, bool)>) -> usize {
+    bits.into_iter()
+        .fold(0, |key, (k, b)| key | usize::from(b) << k)
 }
 
 /// Runs the circuit once, collapsing at each measurement.
 pub fn run_once<R: Rng + ?Sized>(circuit: &QuantumCircuit, rng: &mut R) -> CircResult<Shot> {
-    run_once_full(
-        circuit,
-        rng,
-        None,
-        GateBudget::unlimited(),
-        &Interrupt::new(),
-    )
+    let budget = GateBudget::unlimited();
+    run_once_kernel(circuit, rng, None, budget, &Interrupt::new(), true, None)
 }
 
 /// Runs the circuit once under an [`ExecutionConfig`]: seeded RNG,
@@ -927,39 +910,22 @@ pub fn run_once_cfg(circuit: &QuantumCircuit, cfg: &ExecutionConfig) -> CircResu
     let circuit = cfg.optimized(circuit, &intr)?;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let _span = qutes_obs::span("stage.simulate");
-    run_once_full(
-        &circuit,
-        &mut rng,
-        cfg.effective_noise(),
-        cfg.budget(),
-        &intr,
-    )
-}
-
-fn run_once_full<R: Rng + ?Sized>(
-    circuit: &QuantumCircuit,
-    rng: &mut R,
-    noise: Option<&NoiseModel>,
-    budget: GateBudget,
-    intr: &Interrupt,
-) -> CircResult<Shot> {
-    run_once_kernel(circuit, rng, noise, budget, intr, true, None)
+    let noise = cfg.effective_noise();
+    run_once_kernel(&circuit, &mut rng, noise, cfg.budget(), &intr, true, None)
 }
 
 /// The noise-free `|0…0>` state on `n` qubits with `gates` applied,
 /// under a run's interrupt handle and kernel-threading switch. Neither
 /// counts `gate.*` nor charges a budget: callers do.
-fn prefix_state(
+fn prefix_state<E: Engine>(
     n: usize,
     gates: &[Gate],
     intr: &Interrupt,
     kernel_parallel: bool,
-) -> CircResult<StateVector> {
-    let mut state = StateVector::new(n)?;
-    state.set_parallel(kernel_parallel);
-    state.set_interrupt(intr.clone());
+) -> CircResult<E> {
+    let mut state = E::zero(n, intr, kernel_parallel)?;
     for g in gates {
-        apply_deterministic(&mut state, g)?;
+        state.apply(g)?;
     }
     Ok(state)
 }
@@ -967,12 +933,12 @@ fn prefix_state(
 /// The state a circuit's per-shot replays share: its **prefix** (the
 /// gates before the first measurement, reset or conditional) applied
 /// noise-free to `|0…0>` once per run.
-struct SharedPrefix {
+struct SharedPrefix<E> {
     len: usize,
-    state: StateVector,
+    state: E,
 }
 
-impl SharedPrefix {
+impl<E: Engine> SharedPrefix<E> {
     /// Builds the shared prefix state of `circuit`, or `None` when there
     /// is nothing to share (the circuit opens with a measurement, reset
     /// or conditional), when `memory_budget_bytes` cannot hold it beside
@@ -994,7 +960,7 @@ impl SharedPrefix {
                 )
             })
             .unwrap_or(ops.len());
-        let two_states = 2 * BackendKind::Statevector.required_bytes(circuit.num_qubits());
+        let two_states = 2 * E::KIND.required_bytes(circuit.num_qubits());
         if len == 0 || memory_budget_bytes.is_some_and(|b| two_states > u128::from(b)) {
             return None;
         }
@@ -1003,9 +969,9 @@ impl SharedPrefix {
     }
 }
 
-/// One run of `circuit` from `|0…0>`, as [`run_once_full`], with an
-/// explicit kernel-threading switch (shot-pool workers pass `false` so
-/// per-shot parallelism is the only threading level; dense kernels are
+/// One run of `circuit` from `|0…0>` on engine `E`, with an explicit
+/// kernel-threading switch (shot-pool workers pass `false` so per-shot
+/// parallelism is the only threading level; dense kernels are
 /// bit-identical either way, property-tested in `qsim::parallel`).
 ///
 /// With a `shared` prefix the shot applies no prefix gate itself. It
@@ -1017,22 +983,22 @@ impl SharedPrefix {
 /// classical bits are those of the plain gate-by-gate run, every prefix
 /// gate counts in `gate.*`, and the gate budget is charged the prefix
 /// length up front.
-fn run_once_kernel<R: Rng + ?Sized>(
+fn run_once_kernel<E: Engine, R: Rng + ?Sized>(
     circuit: &QuantumCircuit,
     rng: &mut R,
     noise: Option<&NoiseModel>,
     mut budget: GateBudget,
     intr: &Interrupt,
     kernel_parallel: bool,
-    shared: Option<&SharedPrefix>,
-) -> CircResult<Shot> {
+    shared: Option<&SharedPrefix<E>>,
+) -> CircResult<Shot<E>> {
     let ops = circuit.ops();
     let n = circuit.num_qubits();
     let prefix = &ops[..shared.map_or(0, |p| p.len)];
     budget.charge_many(prefix.len() as u64)?;
     let mut clbits = vec![false; circuit.num_clbits()];
     let mut gate_ck = 0u64;
-    let mut faulted: Option<StateVector> = None;
+    let mut faulted: Option<E> = None;
     for (i, g) in prefix.iter().enumerate() {
         intr.checkpoint_named(
             &mut gate_ck,
@@ -1041,21 +1007,13 @@ fn run_once_kernel<R: Rng + ?Sized>(
         )
         .map_err(CircError::Interrupted)?;
         if let Some(state) = faulted.as_mut() {
-            apply_gate_full(
-                state,
-                &mut clbits,
-                g,
-                rng,
-                noise,
-                &mut GateBudget::unlimited(),
-            )?;
+            let mut unlimited = GateBudget::unlimited();
+            apply_gate_full(state, &mut clbits, g, rng, noise, &mut unlimited)?;
             continue;
         }
         qutes_obs::counter_add(g.counter_name(), 1);
-        // The gates `apply_gate_full` follows with trajectory noise.
-        let noisy_gate = !matches!(g, Gate::GlobalPhase(_) | Gate::Barrier(_));
-        if let Some(nm) = noise.filter(|_| noisy_gate) {
-            nm.apply_gate_noise_settled(&mut faulted, &g.qubits(), rng, |slot| match slot {
+        if let Some(nm) = noise.filter(|_| draws_noise(g)) {
+            E::gate_noise(nm, &mut faulted, &g.qubits(), rng, |slot| match slot {
                 Some(state) => Ok::<_, CircError>(state),
                 None => Ok(slot.insert(prefix_state(n, &prefix[..=i], intr, kernel_parallel)?)),
             })?;
@@ -1065,9 +1023,9 @@ fn run_once_kernel<R: Rng + ?Sized>(
         (Some(state), _) => state,
         (None, Some(shared)) => {
             qutes_obs::counter_add("shots.prefix_shared", 1);
-            shared.state.try_clone()?
+            shared.state.copy()?
         }
-        (None, None) => prefix_state(n, &[], intr, kernel_parallel)?,
+        (None, None) => E::zero(n, intr, kernel_parallel)?,
     };
     for g in &ops[prefix.len()..] {
         intr.checkpoint_named(
@@ -1085,18 +1043,10 @@ fn run_once_kernel<R: Rng + ?Sized>(
 /// contains measurement, reset, or classically-conditioned gates.
 pub fn statevector(circuit: &QuantumCircuit) -> CircResult<StateVector> {
     let mut state = StateVector::new(circuit.num_qubits())?;
-    let mut clbits = vec![false; circuit.num_clbits()];
-    // A fixed-seed RNG is fine: unitary circuits never sample. We still
-    // reject non-unitary instructions explicitly for a clear error.
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     for g in circuit.ops() {
-        match g {
-            Gate::Measure { .. } | Gate::Reset(_) | Gate::Conditional { .. } => {
-                return Err(CircError::NonUnitary(g.name()));
-            }
-            _ => apply_gate(&mut state, &mut clbits, g, &mut rng)?,
-        }
+        // Measurement, reset and conditionals are a typed `NonUnitary`.
+        apply_deterministic(&mut state, g)?;
+        qutes_obs::counter_add(g.counter_name(), 1);
     }
     Ok(state)
 }
@@ -1152,15 +1102,11 @@ pub fn run_shots<R: Rng + ?Sized>(
     shots: usize,
     rng: &mut R,
 ) -> CircResult<Counts> {
-    let cfg = ExecutionConfig::default();
+    let cfg = ExecutionConfig::default().with_shots(shots);
     let kind = crate::backend::resolve(BackendChoice::Auto, circuit, false)?;
     qutes_obs::counter_add(kind.counter_name(), 1);
     let intr = Interrupt::new();
-    let outcome = match kind {
-        BackendKind::Tableau => run_shots_tableau(circuit, shots, rng, &cfg, &intr, false)?,
-        BackendKind::Statevector => run_shots_full(circuit, shots, rng, None, &cfg, &intr, false)?,
-    };
-    Ok(outcome.counts)
+    run_shots_kind(kind, circuit, rng, None, &cfg, &intr, false).map(|o| o.counts)
 }
 
 /// Runs the circuit under an [`ExecutionConfig`] and histograms the
@@ -1196,56 +1142,76 @@ fn run_shots_entry(
     let intr = cfg.effective_interrupt();
     intr.check().map_err(CircError::Interrupted)?;
     cfg.validate()?;
-    let kind = crate::backend::resolve(cfg.backend, circuit, cfg.effective_noise().is_some())?;
+    let noise = cfg.effective_noise();
+    let kind = crate::backend::resolve(cfg.backend, circuit, noise.is_some())?;
     qutes_obs::counter_add(kind.counter_name(), 1);
     cfg.check_memory_backend(kind, circuit.num_qubits())?;
-    match kind {
-        BackendKind::Tableau => {
-            // The optimizer targets dense kernels (it may fuse Clifford
-            // runs into float `Unitary` matrices), so the tableau
-            // executes the raw circuit; gate budgets are charged against
-            // it directly.
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let _span = qutes_obs::span("stage.simulate");
-            run_shots_tableau(circuit, cfg.shots, &mut rng, cfg, &intr, allow_partial)
-        }
+    // The optimizer targets dense kernels (it may fuse Clifford runs into
+    // float `Unitary` matrices), so the tableau executes the raw circuit;
+    // gate budgets are charged against it directly.
+    let optimized;
+    let circuit = match kind {
+        BackendKind::Tableau => circuit,
         BackendKind::Statevector => {
-            let circuit = cfg.optimized(circuit, &intr)?;
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let _span = qutes_obs::span("stage.simulate");
-            run_shots_full(
-                &circuit,
-                cfg.shots,
-                &mut rng,
-                cfg.effective_noise(),
-                cfg,
-                &intr,
-                allow_partial,
-            )
+            optimized = cfg.optimized(circuit, &intr)?;
+            &optimized
         }
-    }
+    };
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let _span = qutes_obs::span("stage.simulate");
+    run_shots_kind(kind, circuit, &mut rng, noise, cfg, &intr, allow_partial)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_shots_full<R: Rng + ?Sized>(
+/// Runs the shot engine on the engine of `kind`.
+fn run_shots_kind<R: Rng + ?Sized>(
+    kind: BackendKind,
     circuit: &QuantumCircuit,
-    shots: usize,
     rng: &mut R,
     noise: Option<&NoiseModel>,
     cfg: &ExecutionConfig,
     intr: &Interrupt,
     allow_partial: bool,
 ) -> CircResult<ShotsOutcome> {
-    let mut map = HashMap::new();
+    match kind {
+        BackendKind::Tableau => {
+            run_shots_on::<Tableau, R>(circuit, rng, noise, cfg, intr, allow_partial)
+        }
+        BackendKind::Statevector => {
+            run_shots_on::<StateVector, R>(circuit, rng, noise, cfg, intr, allow_partial)
+        }
+    }
+}
+
+/// The shot engine: `cfg.shots` runs of `circuit` on engine `E`,
+/// histogrammed. When no noise applies and every measurement is
+/// terminal, the state is simulated once and sampled (batched);
+/// otherwise every shot replays the circuit from the shared prefix on
+/// the shot pool (per-shot), with the degradation semantics of
+/// [`ShotsOutcome::degraded`].
+fn run_shots_on<E: Engine, R: Rng + ?Sized>(
+    circuit: &QuantumCircuit,
+    rng: &mut R,
+    noise: Option<&NoiseModel>,
+    cfg: &ExecutionConfig,
+    intr: &Interrupt,
+    allow_partial: bool,
+) -> CircResult<ShotsOutcome> {
+    if circuit.num_clbits() > usize::BITS as usize {
+        return Err(CircError::Sim(SimError::InvalidState(format!(
+            "cannot histogram {} classical bits (keys are {}-bit)",
+            circuit.num_clbits(),
+            usize::BITS
+        ))));
+    }
+    let shots = cfg.shots;
     qutes_obs::counter_add("sim.shots", shots as u64);
-    if noise.is_none() && measurements_are_terminal(circuit) {
+    let pool = if noise.is_none() && measurements_are_terminal(circuit) {
         qutes_obs::counter_add("sim.fast_path", 1);
         qutes_obs::counter_add("backend.mode.batched", 1);
-        // Fast path: simulate the unitary prefix once, then sample. The
-        // single simulation is all-or-nothing, so no partial outcome is
+        // Simulate the unitary part once, then sample. The single
+        // simulation is all-or-nothing, so no partial outcome is
         // possible here; interrupts surface as errors.
-        let mut state = StateVector::new(circuit.num_qubits())?;
-        state.set_interrupt(intr.clone());
+        let mut state = E::zero(circuit.num_qubits(), intr, true)?;
         let mut clbits = vec![false; circuit.num_clbits()];
         let mut budget = cfg.budget();
         let mut gate_ck = 0u64;
@@ -1266,31 +1232,34 @@ fn run_shots_full<R: Rng + ?Sized>(
             }
         }
         let qubits: Vec<usize> = meas_pairs.iter().map(|&(q, _)| q).collect();
-        let sampled = measure::sample_counts(&state, &qubits, shots, rng)?;
-        for (joint, count) in sampled {
-            // Re-scatter bit k of the joint outcome to clbit of pair k.
-            let mut key = 0usize;
-            for (k, &(_, c)) in meas_pairs.iter().enumerate() {
-                if joint >> k & 1 == 1 {
-                    key |= 1 << c;
-                }
-            }
+        let mut map = HashMap::new();
+        for (joint, count) in state.sample(&qubits, shots, rng)? {
+            // Bit k of the joint outcome is the clbit of pair k.
+            let bits = meas_pairs.iter().enumerate();
+            let key = pack_key(bits.map(|(k, &(_, c))| (c, joint >> k & 1 == 1)));
             *map.entry(key).or_insert(0) += count;
+        }
+        shot_pool::PoolOutcome {
+            map,
+            completed: shots,
+            stop: None,
         }
     } else {
         qutes_obs::counter_add("sim.slow_path", 1);
         qutes_obs::counter_add("backend.mode.per_shot", 1);
-        // Same per-shot stream derivation as the tableau path; see
-        // `qutes_sim::rng_stream`.
+        // Counter-derived child streams (see `qutes_sim::rng_stream`):
+        // one base draw from the caller's stream, then a private RNG per
+        // shot index — the same derivation serial or pooled, so
+        // histograms are thread-count invariant.
         let base_seed = rng.next_u64();
         let workers = shot_pool::resolve_workers(cfg.shot_threads, shots);
-        let denied_bytes = 16usize
-            .checked_shl(circuit.num_qubits() as u32)
-            .unwrap_or(usize::MAX);
+        let required = E::KIND.required_bytes(circuit.num_qubits());
+        let denied_bytes = usize::try_from(required).unwrap_or(usize::MAX);
         // With several workers live, shot-level parallelism owns the
         // cores: nested kernel threading would only oversubscribe.
         let kernel_parallel = workers == 1;
-        let shared = SharedPrefix::build(circuit, cfg.memory_budget_bytes, intr, kernel_parallel);
+        let budget_bytes = cfg.memory_budget_bytes;
+        let shared = SharedPrefix::<E>::build(circuit, budget_bytes, intr, kernel_parallel);
         let run_shot = |s: usize| -> CircResult<usize> {
             intr.check().map_err(CircError::Interrupted)?;
             if intr.is_armed() {
@@ -1302,30 +1271,22 @@ fn run_shots_full<R: Rng + ?Sized>(
                 })
             })?;
             let mut shot_rng = qutes_sim::rng_stream::shot_rng(base_seed, s as u64);
+            let budget = cfg.budget();
+            let shared = shared.as_ref();
             run_once_kernel(
                 circuit,
                 &mut shot_rng,
                 noise,
-                cfg.budget(),
+                budget,
                 intr,
                 kernel_parallel,
-                shared.as_ref(),
+                shared,
             )
             .map(|shot| shot.clbits_as_usize())
         };
-        let pool = shot_pool::run_pool(shots, workers, denied_bytes, run_shot)?;
-        return pool_outcome(pool, circuit.num_clbits(), shots, allow_partial);
-    }
-    Ok(ShotsOutcome {
-        counts: Counts {
-            map,
-            num_clbits: circuit.num_clbits(),
-            shots,
-        },
-        completed_shots: shots,
-        degraded: false,
-        stop: None,
-    })
+        shot_pool::run_pool(shots, workers, denied_bytes, run_shot)?
+    };
+    pool_outcome(pool, circuit.num_clbits(), shots, allow_partial)
 }
 
 /// Result of a [`run_shots_majority`] mitigation run.
@@ -1614,20 +1575,30 @@ mod tests {
 
     /// A 3-qubit circuit with a 10-gate prefix (global phase and barrier
     /// included) before a mid-circuit measurement, and gates after it.
-    fn prefixed_circuit() -> QuantumCircuit {
+    /// The Clifford variant swaps `RZ`/`T` for `S`/`S†` so the tableau
+    /// can run it.
+    fn prefixed_circuit(clifford: bool) -> QuantumCircuit {
         use Gate::*;
         let mut c = QuantumCircuit::with_qubits_and_clbits(3, 3);
+        let (rz, t) = if clifford {
+            (S(1), Sdg(2))
+        } else {
+            (
+                RZ {
+                    target: 1,
+                    theta: 0.3,
+                },
+                T(2),
+            )
+        };
         let ops = [
             H(0),
             CX {
                 control: 0,
                 target: 1,
             },
-            RZ {
-                target: 1,
-                theta: 0.3,
-            },
-            T(2),
+            rz,
+            t,
             GlobalPhase(0.2),
             Barrier(vec![0, 1]),
             Swap { a: 0, b: 2 },
@@ -1652,31 +1623,23 @@ mod tests {
         c
     }
 
-    #[test]
-    fn shared_prefix_shots_match_replays_from_zero_bit_for_bit() {
-        let c = prefixed_circuit();
+    fn shared_prefix_matches<E: Engine + fmt::Debug>(
+        c: &QuantumCircuit,
+        models: &[Option<NoiseModel>],
+    ) {
         let intr = Interrupt::new();
-        let shared = SharedPrefix::build(&c, None, &intr, false).unwrap();
+        let shared = SharedPrefix::<E>::build(c, None, &intr, false).unwrap();
         assert_eq!(shared.len, 10);
-        let models = [
-            NoiseModel::depolarizing(0.05).with_readout_error(0.1),
-            NoiseModel::none().with_bit_flip(0.05).with_phase_flip(0.05),
-            NoiseModel::none().with_amplitude_damping(0.1),
-        ];
-        for nm in &models {
+        for nm in models {
             for s in 0..200u64 {
-                // Final clbits, final amplitudes, and the next draw.
-                let run = |shared: Option<&SharedPrefix>| {
+                // Final clbits, final state, and the next draw.
+                let run = |shared: Option<&SharedPrefix<E>>| {
                     let mut rng = qutes_sim::rng_stream::shot_rng(9, s);
                     let budget = GateBudget::unlimited();
                     let shot =
-                        run_once_kernel(&c, &mut rng, Some(nm), budget, &intr, false, shared)
+                        run_once_kernel(c, &mut rng, nm.as_ref(), budget, &intr, false, shared)
                             .unwrap();
-                    (
-                        shot.clbits,
-                        shot.state.amplitudes().to_vec(),
-                        rng.next_u64(),
-                    )
+                    (shot.clbits, format!("{:?}", shot.state), rng.next_u64())
                 };
                 assert_eq!(run(None), run(Some(&shared)), "shot {s} under {nm:?}");
             }
@@ -1684,15 +1647,24 @@ mod tests {
     }
 
     #[test]
-    fn budget_below_the_prefix_fails_like_the_gate_by_gate_run() {
-        let c = prefixed_circuit();
+    fn shared_prefix_shots_match_replays_from_zero_bit_for_bit() {
+        let models = [
+            Some(NoiseModel::depolarizing(0.05).with_readout_error(0.1)),
+            Some(NoiseModel::none().with_bit_flip(0.05).with_phase_flip(0.05)),
+            Some(NoiseModel::none().with_amplitude_damping(0.1)),
+        ];
+        shared_prefix_matches::<StateVector>(&prefixed_circuit(false), &models);
+        shared_prefix_matches::<Tableau>(&prefixed_circuit(true), &[None]);
+    }
+
+    fn budget_below_prefix_matches<E: Engine + fmt::Debug>(c: &QuantumCircuit) {
         let intr = Interrupt::new();
-        let shared = SharedPrefix::build(&c, None, &intr, false).unwrap();
+        let shared = SharedPrefix::<E>::build(c, None, &intr, false).unwrap();
         for limit in [0, 5, 9, 10, 11, 13, 14] {
-            let run = |shared: Option<&SharedPrefix>| {
+            let run = |shared: Option<&SharedPrefix<E>>| {
                 let mut rng = qutes_sim::rng_stream::shot_rng(1, 0);
                 let budget = GateBudget::limited(limit);
-                run_once_kernel(&c, &mut rng, None, budget, &intr, false, shared)
+                run_once_kernel(c, &mut rng, None, budget, &intr, false, shared)
                     .map(|shot| shot.clbits)
                     .map_err(|e| e.to_string())
             };
@@ -1701,14 +1673,54 @@ mod tests {
     }
 
     #[test]
-    fn prefix_is_not_shared_when_the_budget_cannot_hold_two_states() {
-        let c = prefixed_circuit();
+    fn budget_below_the_prefix_fails_like_the_gate_by_gate_run() {
+        budget_below_prefix_matches::<StateVector>(&prefixed_circuit(false));
+        budget_below_prefix_matches::<Tableau>(&prefixed_circuit(true));
+    }
+
+    fn prefix_needs_two_states<E: Engine>(c: &QuantumCircuit) {
         let intr = Interrupt::new();
-        let one_state = 16 << c.num_qubits();
-        assert!(SharedPrefix::build(&c, Some(2 * one_state), &intr, false).is_some());
-        assert!(SharedPrefix::build(&c, Some(2 * one_state - 1), &intr, false).is_none());
+        let one_state = u64::try_from(E::KIND.required_bytes(c.num_qubits())).unwrap();
+        assert!(SharedPrefix::<E>::build(c, Some(2 * one_state), &intr, false).is_some());
+        assert!(SharedPrefix::<E>::build(c, Some(2 * one_state - 1), &intr, false).is_none());
         let mut opens_with_measure = QuantumCircuit::with_qubits_and_clbits(1, 1);
         opens_with_measure.measure(0, 0).unwrap().h(0).unwrap();
-        assert!(SharedPrefix::build(&opens_with_measure, None, &intr, false).is_none());
+        assert!(SharedPrefix::<E>::build(&opens_with_measure, None, &intr, false).is_none());
+    }
+
+    #[test]
+    fn prefix_is_not_shared_when_the_budget_cannot_hold_two_states() {
+        prefix_needs_two_states::<StateVector>(&prefixed_circuit(false));
+        prefix_needs_two_states::<Tableau>(&prefixed_circuit(true));
+    }
+
+    #[test]
+    fn more_than_64_clbits_are_refused_on_both_engines_and_paths() {
+        // Clbit 64 is written by a terminal measurement (batched) and by
+        // a mid-circuit one (per-shot); neither fits a 64-bit key.
+        let mut terminal = QuantumCircuit::with_qubits_and_clbits(1, 65);
+        terminal.h(0).unwrap().measure(0, 64).unwrap();
+        let mut mid_circuit = QuantumCircuit::with_qubits_and_clbits(1, 65);
+        mid_circuit.h(0).unwrap().measure(0, 64).unwrap();
+        mid_circuit.h(0).unwrap().measure(0, 0).unwrap();
+        assert!(measurements_are_terminal(&terminal));
+        assert!(!measurements_are_terminal(&mid_circuit));
+        for c in [&terminal, &mid_circuit] {
+            for backend in [BackendChoice::Statevector, BackendChoice::Tableau] {
+                let cfg = ExecutionConfig::default()
+                    .with_shots(16)
+                    .with_backend(backend);
+                let err = run_shots_cfg(c, &cfg).unwrap_err();
+                assert!(
+                    matches!(err, CircError::Sim(qutes_sim::SimError::InvalidState(_))),
+                    "{backend}: {err}"
+                );
+                assert!(
+                    err.to_string()
+                        .contains("cannot histogram 65 classical bits (keys are 64-bit)"),
+                    "{backend}: {err}"
+                );
+            }
+        }
     }
 }

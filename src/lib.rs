@@ -50,6 +50,11 @@ pub use qutes_frontend::{parse, print_program};
 pub use qutes_qasm::{to_qasm2, to_qasm3};
 pub use qutes_supervisor::{Interrupt, StopReason};
 
+/// Compiles and runs the Rust examples of `docs/noise.md` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../docs/noise.md")]
+pub struct NoiseDocExamples;
+
 /// Parses, type-checks, optionally lints, and runs a Qutes program —
 /// [`run_pipeline`], with its lint and verification reports folded into
 /// the result:
